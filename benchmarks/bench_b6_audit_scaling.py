@@ -26,12 +26,11 @@ def build_epochs(epochs, m=2):
 @pytest.mark.parametrize("epochs", [10, 50, 200])
 def test_bench_cold_audit(benchmark, epochs):
     sim, reg = build_epochs(epochs)
-    auditor = reg.auditor(sim.spawn("cold"))
+    process = sim.spawn("cold")
 
     def once():
-        # A fresh handle each round so lsa starts at 0.
-        auditor.lsa = 0
-        auditor.audit_set = set()
+        # A fresh handle each round so lsa starts at 0 and A is empty.
+        auditor = reg.auditor(process)
         sim.add_program("cold", [auditor.audit_op()])
         sim.run_process("cold")
         return sim.history.operations(pid="cold")[-1]

@@ -22,6 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.audit_set import AuditSet
 from repro.sim.events import CrashEvent, PrimitiveEvent, Response
 from repro.sim.history import History, OperationRecord
 
@@ -139,6 +140,23 @@ class WindowedAuditOracle:
     StreamingLinChecker` on the ``repro serve`` / ``stress --online``
     paths.
 
+    **Incremental checks.**  An audit's value is cumulative, so
+    comparing it whole costs O(|A|) per audit.  The oracle remembers,
+    per auditor, the ``(log, n, cut)`` of its last verified
+    :class:`~repro.core.audit_set.AuditSet`.  A new result that is a
+    view of the same log with ``n' >= n`` and a cut ``cut' >= cut`` is
+    checked by its delta: ``log[n:n']`` must hold exactly the pairs
+    first seen in ``[cut, cut')``, in O(delta).  That is sound because the
+    log is append-only (its verified prefix still equals the expected
+    set at ``cut``) and the expected set only grows by first-seen
+    pairs.  Every other shape — a plain frozenset, a foreign log, a
+    shrinking ``n``, a delta that differs — takes the full comparison,
+    which alone decides violations, so the fast path can never invent
+    one.  A violation drops the auditor's entry, so its next audit is
+    compared in full (the oracle resyncs).  ``pairs_compared`` counts
+    the pairs both paths touch; it is a progress counter, never part of
+    a checkpoint record.
+
     ``decode`` mirrors ``register._decode_value`` (identity for the
     plain register, version-stripping for the max register); ``lift``
     post-processes each pair before comparison, e.g.
@@ -170,9 +188,12 @@ class WindowedAuditOracle:
         self._first_seen: Dict[Tuple[int, Any], int] = {}
         # First read-of-R index per in-flight operation.
         self._read_marks: Dict[Tuple[str, int], int] = {}
+        # Per auditor: (log, n, cut) of its last verified AuditSet.
+        self._verified: Dict[str, Tuple[List[Any], int, int]] = {}
         self.violations: List[AuditViolation] = []
         self.events = 0
         self.audits_checked = 0
+        self.pairs_compared = 0
         self.windows = 0
         self.peak_recent = 0
 
@@ -218,10 +239,19 @@ class WindowedAuditOracle:
         self, pid: str, op_id: int, lin: int, reported: Any
     ) -> Optional[AuditViolation]:
         self.audits_checked += 1
+        is_view = isinstance(reported, AuditSet)
+        if is_view and self._check_delta(pid, lin, reported):
+            return None
         expected = self.expected(lin)
         reported_set = set(reported)
+        self.pairs_compared += len(expected) + len(reported_set)
         if expected == reported_set:
+            if is_view:
+                self._verified[pid] = (reported.log, len(reported), lin)
+            else:
+                self._verified.pop(pid, None)
             return None
+        self._verified.pop(pid, None)
         violation = AuditViolation(
             audit_pid=pid,
             audit_op_id=op_id,
@@ -231,13 +261,37 @@ class WindowedAuditOracle:
         self.violations.append(violation)
         return violation
 
+    def _check_delta(self, pid: str, lin: int, reported: AuditSet) -> bool:
+        """The O(delta) inductive check; ``False`` means "undecided
+        here", never "violation"."""
+        prev = self._verified.get(pid)
+        if prev is None:
+            return False
+        log, n = reported.log, len(reported)
+        prev_log, prev_n, prev_cut = prev
+        if log is not prev_log or n < prev_n or lin < prev_cut:
+            return False
+        delta = log[prev_n:n]
+        fresh = self._recent_pairs[
+            bisect_left(self._recent_indices, prev_cut):
+            bisect_left(self._recent_indices, lin)
+        ]
+        self.pairs_compared += len(delta) + len(fresh)
+        if set(delta) != set(fresh):
+            return False
+        self._verified[pid] = (log, n, lin)
+        return True
+
     # -- the sliding window ------------------------------------------------
 
     def _roll(self) -> None:
-        """Fold timeline entries that no outstanding operation can
-        still cut through into the frozen base set."""
+        """Fold timeline entries that no outstanding operation — and no
+        auditor's verified cut — can still cut through into the frozen
+        base set."""
         self.windows += 1
-        safe = min(self._read_marks.values(), default=None)
+        cuts = [cut for _, _, cut in self._verified.values()]
+        cuts.extend(self._read_marks.values())
+        safe = min(cuts, default=None)
         horizon = len(self._recent_indices)
         if safe is not None:
             horizon = bisect_left(self._recent_indices, safe)

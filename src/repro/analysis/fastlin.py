@@ -60,6 +60,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.audit_set import SET_TYPES
 from repro.sim.history import OperationRecord
 
 
@@ -447,7 +448,8 @@ def check_history(
 #   list      -> {"l": [...]}         dict          -> {"d": [[k, v]...]}
 #
 # Set and dict members are sorted by their canonical encoding, so equal
-# values always serialize to identical bytes.
+# values always serialize to identical bytes.  An AuditSet encodes as
+# the frozenset it equals.
 
 def _canon(encoded: Any) -> str:
     return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
@@ -461,7 +463,7 @@ def encode_value(value: Any) -> Any:
         return {"t": [encode_value(v) for v in value]}
     if isinstance(value, list):
         return {"l": [encode_value(v) for v in value]}
-    if isinstance(value, (set, frozenset)):
+    if isinstance(value, SET_TYPES):
         return {"s": sorted((encode_value(v) for v in value), key=_canon)}
     if isinstance(value, dict):
         return {

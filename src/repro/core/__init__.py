@@ -6,8 +6,11 @@
   nonces hiding unread intermediate values).
 - :class:`AuditableSnapshot` -- Algorithm 3 (n-component snapshot).
 - :class:`AuditableVersioned` -- Theorem 13 (any versioned type).
+- :class:`AuditSet` -- the value an Algorithm 1/2 audit returns: an
+  O(1) prefix view of the auditor's log that equals a frozenset.
 """
 
+from repro.core.audit_set import AuditSet
 from repro.core.auditable_max_register import (
     AuditableMaxRegister,
     MaxRegisterWriter,
@@ -37,6 +40,7 @@ from repro.core.versioned import (
 
 __all__ = [
     "AtomicVersionedObject",
+    "AuditSet",
     "AuditableMaxRegister",
     "AuditableRegister",
     "AuditableSnapshot",

@@ -31,8 +31,9 @@ All methods are generator functions to be driven by a
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Optional, Set, Tuple
+from typing import Any, List, Optional, Set, Tuple
 
+from repro.core.audit_set import AuditSet
 from repro.crypto.pad import OneTimePadSequence
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BOTTOM
@@ -189,6 +190,13 @@ class RegisterAuditor(_Handle):
     The audit set is cumulative per auditor, as in the paper: each audit
     extends ``A`` with newly discovered (reader, value) pairs and returns
     the whole set.  ``lsa`` ensures archived entries are scanned once.
+
+    ``A`` is kept twice: ``audit_set`` answers membership and
+    ``audit_log`` lists the same pairs in discovery order.  An audit
+    appends only the pairs it newly finds and returns
+    ``AuditSet(audit_log, len(audit_log))``, an O(1) prefix view that
+    equals ``frozenset(A)`` (see :mod:`repro.core.audit_set`), so a run
+    of audits costs the pairs found, not the pairs held times audits.
     """
 
     def __init__(
@@ -196,7 +204,13 @@ class RegisterAuditor(_Handle):
     ) -> None:
         super().__init__(register, process)
         self.audit_set: Set[Tuple[int, Any]] = set()
+        self.audit_log: List[Tuple[int, Any]] = []
         self.lsa: int = 0  # latest audited sequence number
+
+    def _note(self, pair: Tuple[int, Any]) -> None:
+        if pair not in self.audit_set:
+            self.audit_set.add(pair)
+            self.audit_log.append(pair)
 
     def audit(self):
         """Algorithm 1, lines 16-22."""
@@ -209,14 +223,14 @@ class RegisterAuditor(_Handle):
             for j in range(reg.num_readers):
                 flagged = yield from reg.B[s, j].read()
                 if flagged:
-                    self.audit_set.add((j, val))
+                    self._note((j, val))
         # line 21: readers of the current value, deciphered with rand_seq.
         current = reg._decode_value(word.val)
         for j in pad.members(word.seq, word.bits):
-            self.audit_set.add((j, current))
+            self._note((j, current))
         self.lsa = word.seq  # line 22
         yield from reg.SN.compare_and_swap(word.seq - 1, word.seq)
-        return frozenset(self.audit_set)
+        return AuditSet(self.audit_log, len(self.audit_log))
 
     def audit_op(self) -> Op:
         return Op("audit", self.audit)

@@ -75,6 +75,7 @@ import traceback
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.audit_set import SET_TYPES
 from repro.faults import FaultPlan, ScriptedFaultPlan, SeededFaultPlan
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
@@ -157,7 +158,7 @@ class ObjectRegistry:
                 self._matrices.setdefault(node.name, node)
             if isinstance(node, dict):
                 stack.extend(node.values())
-            elif isinstance(node, (list, tuple, set, frozenset)):
+            elif isinstance(node, (list, tuple) + SET_TYPES):
                 stack.extend(node)
             elif type(node).__module__.startswith("repro"):
                 stack.extend(getattr(node, "__dict__", {}).values())

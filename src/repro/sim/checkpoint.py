@@ -64,6 +64,7 @@ import types
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.audit_set import SET_TYPES
 from repro.crypto.nonce import NonceSource
 from repro.sim.history import History
 from repro.sim.process import Op, Process, ProcessState
@@ -208,7 +209,7 @@ class StateVault:
                 stack.extend(value.values())
             elif isinstance(value, (list, tuple)):
                 stack.extend(value)
-            elif isinstance(value, (set, frozenset)):
+            elif isinstance(value, SET_TYPES):
                 # Deterministic walk order => deterministic adoption
                 # indices across interpreter processes (parallel
                 # frontier workers rebuild the same vault).
@@ -326,7 +327,7 @@ class StateVault:
             )
         if isinstance(value, (list, tuple)):
             return ("t", tuple(self.canon(v) for v in value))
-        if isinstance(value, (set, frozenset)):
+        if isinstance(value, SET_TYPES):
             return ("s", tuple(sorted((self.canon(v) for v in value),
                                       key=repr)))
         if isinstance(value, random.Random):

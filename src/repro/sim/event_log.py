@@ -34,6 +34,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
 from repro.analysis.fastlin import decode_value, encode_value
+from repro.core.audit_set import SET_TYPES
 from repro.memory.base import BOTTOM, Bottom
 from repro.memory.rword import RWord
 from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
@@ -89,7 +90,7 @@ def encode_loose(value: Any) -> Any:
         return {"t": [encode_loose(v) for v in value]}
     if isinstance(value, list):
         return {"l": [encode_loose(v) for v in value]}
-    if isinstance(value, (set, frozenset)):
+    if isinstance(value, SET_TYPES):
         return {
             "s": sorted(
                 (encode_loose(v) for v in value),

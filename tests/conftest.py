@@ -17,6 +17,17 @@ def sim():
     return Simulation()
 
 
+@pytest.fixture(scope="session")
+def e13_result():
+    """One ``run("E13")`` shared by every test that inspects it: the
+    exhaustive model check is the suite's most expensive call, and its
+    result is a read-only report."""
+    from repro.harness.experiment import run
+    import repro.harness.experiments  # noqa: F401
+
+    return run("E13")
+
+
 def build_register(
     num_readers=2,
     num_writers=1,

@@ -100,11 +100,8 @@ class TestEnumeration:
 
 
 class TestE13Driver:
-    def test_e13_passes(self):
-        from repro.harness.experiment import run
-        import repro.harness.experiments  # noqa: F401
-
-        result = run("E13")
+    def test_e13_passes(self, e13_result):
+        result = e13_result
         assert result.ok, result.render()
         # The known interleaving counts are themselves a regression
         # oracle for the algorithm's step structure.

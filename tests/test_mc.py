@@ -382,11 +382,8 @@ class TestParallelFrontiers:
 
 
 class TestE13Driver:
-    def test_e13_reports_reduction_and_matching_verdicts(self):
-        from repro.harness.experiment import run
-        import repro.harness.experiments  # noqa: F401
-
-        result = run("E13")
+    def test_e13_reports_reduction_and_matching_verdicts(self, e13_result):
+        result = e13_result
         assert result.ok, result.render()
         reductions = {
             row["scenario"]: row for row in result.rows
