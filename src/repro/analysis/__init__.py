@@ -1,12 +1,11 @@
 """Analysis tooling: mechanical checks of the paper's claims.
 
-- :mod:`repro.analysis.fastlin` -- the high-performance linearizability
-  oracle: bitmask Wing-Gong search with forced-operation pruning,
-  P-compositional partitioning, structured ``undecided`` budgets and a
-  batched parallel verdict service.
-- :mod:`repro.analysis.linearizability` -- legacy shim over ``fastlin``
-  (historical raising-budget contract; keeps the naive reference
-  implementation for differential testing).
+- :mod:`repro.analysis.fastlin` -- the linearizability oracle
+  (:func:`check_history`): bitmask Wing-Gong search with
+  forced-operation pruning, P-compositional partitioning, structured
+  ``undecided`` budgets and a batched parallel verdict service.
+- :mod:`repro.analysis.linearizability` -- the original naive search,
+  kept only as the reference oracle for differential tests.
 - :mod:`repro.analysis.specs` -- sequential specifications (register,
   max register, snapshot, counter, and their auditable variants).
 - :mod:`repro.analysis.effectiveness` -- detects *effective* reads
@@ -36,9 +35,13 @@ from repro.analysis.fastlin import (
     LIN_FAIL,
     LIN_OK,
     LIN_UNDECIDED,
+    PENDING,
     BatchVerdict,
     FastLinChecker,
+    LinearizationResult,
+    SeqSpec,
     check_histories_parallel,
+    check_history,
     lin_jobs,
     op_from_payload,
     op_to_payload,
@@ -51,12 +54,6 @@ from repro.analysis.effectiveness import (
     classify_read,
     effective_reads,
 )
-from repro.analysis.exhaustive import (
-    ExplorationBudgetExceeded,
-    ExplorationReport,
-    count_interleavings,
-    explore,
-)
 from repro.analysis.leakage import (
     AttackOutcome,
     empirical_advantage,
@@ -66,13 +63,6 @@ from repro.analysis.leakage import (
     projections_equal,
     success_rate,
     tracking_bits_seen,
-)
-from repro.analysis.linearizability import (
-    PENDING,
-    LinearizabilityChecker,
-    LinearizationResult,
-    SeqSpec,
-    check_history,
 )
 from repro.analysis.phases import (
     PhaseViolation,
@@ -115,10 +105,7 @@ __all__ = [
     "AuditViolation",
     "BatchVerdict",
     "EffectiveRead",
-    "ExplorationBudgetExceeded",
-    "ExplorationReport",
     "FastLinChecker",
-    "LinearizabilityChecker",
     "LinearizationResult",
     "PhaseViolation",
     "SeqSpec",
@@ -140,10 +127,8 @@ __all__ = [
     "check_phase_structure",
     "check_value_sequence",
     "classify_read",
-    "count_interleavings",
     "counter_object_spec",
     "effective_reads",
-    "explore",
     "empirical_advantage",
     "expected_audit_set",
     "first_divergence",

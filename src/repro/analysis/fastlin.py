@@ -1,4 +1,4 @@
-"""High-performance linearizability oracle (the default since PR 4).
+"""High-performance linearizability oracle: the repo's one checker.
 
 Every verdict the repository emits -- experiment PASS/FAIL, model
 checking in :mod:`repro.mc`, stress post-validation in
@@ -35,9 +35,11 @@ scans, versioned reads) must not declare it.
 
 **Structured budgets.**  Exceeding the node budget returns a
 ``status == "undecided"`` result instead of raising, so stress runs and
-model-checking verdict collection degrade gracefully (the legacy
-:class:`repro.analysis.linearizability.LinearizabilityChecker` shim
-still raises, preserving its historical contract).
+model-checking verdict collection degrade gracefully.  This module is
+the repo's one linearizability entry point (``repro.analysis``
+re-exports :func:`check_history`); the original naive search survives
+only as the reference oracle
+:func:`repro.analysis.linearizability.legacy_check_history`.
 
 A batched verdict service (:func:`check_histories_parallel`) fans a
 list of ``(operations, spec_name, spec_params)`` jobs across the
@@ -48,7 +50,6 @@ closures do not pickle.  ``python -m repro lin`` is the CLI front-end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -60,7 +61,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.audit_set import SET_TYPES
+from repro.codec import decode_value, encode_value
 from repro.sim.history import OperationRecord
 
 
@@ -222,9 +223,8 @@ def _precedence_structure(
 class FastLinChecker:
     """Checks one object's history against a sequential spec.
 
-    Drop-in fast replacement for the historical
-    ``LinearizabilityChecker``; exceeding ``max_nodes`` returns a
-    structured :data:`LIN_UNDECIDED` result instead of raising.
+    Exceeding ``max_nodes`` returns a structured :data:`LIN_UNDECIDED`
+    result instead of raising.
     """
 
     def __init__(
@@ -438,61 +438,10 @@ def check_history(
 # ---------------------------------------------------------------------
 #
 # The batched verdict service ships histories through the engine, whose
-# checkpoint records are canonical JSON -- but operation arguments and
-# results contain tuples and frozensets (snapshot views, audit pair
-# sets) that plain JSON flattens ambiguously.  The codec below tags
-# containers so a payload round-trip reconstructs values that compare
-# equal under every sequential spec:
-#
-#   tuple     -> {"t": [...]}         frozenset/set -> {"s": [...]}
-#   list      -> {"l": [...]}         dict          -> {"d": [[k, v]...]}
-#
-# Set and dict members are sorted by their canonical encoding, so equal
-# values always serialize to identical bytes.  An AuditSet encodes as
-# the frozenset it equals.
-
-def _canon(encoded: Any) -> str:
-    return json.dumps(encoded, sort_keys=True, separators=(",", ":"))
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe, canonical, round-trippable encoding of a value."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, tuple):
-        return {"t": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [encode_value(v) for v in value]}
-    if isinstance(value, SET_TYPES):
-        return {"s": sorted((encode_value(v) for v in value), key=_canon)}
-    if isinstance(value, dict):
-        return {
-            "d": sorted(
-                ([encode_value(k), encode_value(v)]
-                 for k, v in value.items()),
-                key=_canon,
-            )
-        }
-    raise TypeError(
-        f"cannot encode {type(value).__name__!r} into a history payload"
-    )
-
-
-def decode_value(encoded: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if not isinstance(encoded, dict):
-        return encoded
-    (tag, items), = encoded.items()
-    if tag == "t":
-        return tuple(decode_value(v) for v in items)
-    if tag == "l":
-        return [decode_value(v) for v in items]
-    if tag == "s":
-        return frozenset(decode_value(v) for v in items)
-    if tag == "d":
-        return {decode_value(k): decode_value(v) for k, v in items}
-    raise ValueError(f"unknown payload tag {tag!r}")
-
+# checkpoint records are canonical JSON.  Operation arguments and
+# results go through the shared value codec (:mod:`repro.codec`)
+# without its leaf fallback: a value no tag covers raises TypeError
+# rather than be written as unstable ``repr`` text.
 
 def op_to_payload(op: OperationRecord) -> Dict[str, Any]:
     """The JSON-safe projection of an operation (primitives dropped:

@@ -1,73 +1,19 @@
-"""Wing-Gong linearizability checking -- legacy shim over ``fastlin``.
+"""The original naive Wing-Gong search, kept as a reference oracle.
 
-.. deprecated::
-    The naive Wing-Gong search grew into a high-performance
-    verification core: integer-bitmask done-sets, precomputed
-    precedence bitmasks, forced-operation (Lowe-style) pruning,
-    P-compositional partitioning and a batched parallel verdict
-    service now live in :mod:`repro.analysis.fastlin`.  This module
-    keeps the original API working: ``check_history`` and
-    :class:`LinearizabilityChecker` delegate to the new checker and
-    preserve the historical budget contract (a ``max_nodes`` overrun
-    **raises** ``RuntimeError`` here, where the new API returns a
-    structured ``status == "undecided"`` result).
-
-    New code should call :func:`repro.analysis.fastlin.check_history`
-    directly, or ``python -m repro lin`` from the command line.
-
-The original O(n^2)-precedence, frozenset-memoised search survives as
-:func:`legacy_check_history`: it is the executable reference the
-property tests differentially check the rewrite against, and the
-baseline ``benchmarks/bench_b10_lin_throughput.py`` measures the
-speedup from.
+:mod:`repro.analysis.fastlin` is the repo's linearizability checker.
+:func:`legacy_check_history` is the seed implementation it was
+rewritten from: the executable reference the ``test_fastlin``
+differential tests check the rewrite against, and the baseline
+``benchmarks/bench_b10_lin_throughput.py`` measures the speedup from
+(its CI gate asserts fastlin is never slower).
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Sequence, Set, Tuple
 
-# Re-exported for backward compatibility: these are the same objects
-# the new core defines (SeqSpec gained optional P-compositionality
-# hooks; existing constructors are unchanged).
-from repro.analysis.fastlin import (  # noqa: F401
-    LIN_UNDECIDED,
-    PENDING,
-    FastLinChecker,
-    LinearizationResult,
-    SeqSpec,
-)
+from repro.analysis.fastlin import PENDING, LinearizationResult, SeqSpec
 from repro.sim.history import OperationRecord
-
-
-class LinearizabilityChecker:
-    """Checks one object's history against a sequential spec.
-
-    Deprecated alias for :class:`repro.analysis.fastlin.FastLinChecker`
-    with the historical budget behaviour: exceeding ``max_nodes``
-    raises ``RuntimeError`` instead of returning an undecided result.
-    """
-
-    def __init__(self, spec: SeqSpec, max_nodes: int = 2_000_000) -> None:
-        self.spec = spec
-        self.max_nodes = max_nodes
-
-    def check(
-        self, operations: Sequence[OperationRecord]
-    ) -> LinearizationResult:
-        result = FastLinChecker(self.spec, self.max_nodes).check(operations)
-        if result.status == LIN_UNDECIDED:
-            raise RuntimeError(
-                f"linearizability search exceeded {self.max_nodes} "
-                "nodes; reduce history size"
-            )
-        return result
-
-
-def check_history(
-    operations: Sequence[OperationRecord], spec: SeqSpec
-) -> LinearizationResult:
-    """Convenience wrapper (historical raising-budget contract)."""
-    return LinearizabilityChecker(spec).check(operations)
 
 
 def legacy_check_history(

@@ -1,6 +1,6 @@
 """Sequential specifications for the linearizability checker.
 
-Each factory returns a :class:`~repro.analysis.linearizability.SeqSpec`.
+Each factory returns a :class:`~repro.analysis.fastlin.SeqSpec`.
 The auditable specs implement the paper's sequential specification of an
 auditable object: a pair ``(j, v)`` appears in an audit's response *iff*
 a read by ``p_j`` returning ``v`` precedes the audit (accuracy +
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Optional
 
-from repro.analysis.linearizability import PENDING, SeqSpec
+from repro.analysis.fastlin import PENDING, SeqSpec
 
 
 def register_spec(initial: Any, name: str = "register") -> SeqSpec:

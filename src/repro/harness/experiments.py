@@ -828,17 +828,6 @@ def run_e12(trials=150) -> ExperimentResult:
 # E13 -- exhaustive verification of small scenarios (all interleavings)
 # ----------------------------------------------------------------------
 
-# The scenario factories and per-execution oracles moved to the
-# model-checking subsystem (repro.mc.scenarios); these aliases keep the
-# historical names importable.
-from repro.mc.scenarios import (  # noqa: E402
-    max_scenario_check as _exhaustive_max_check,
-    max_scenario_factory as _exhaustive_max_scenario,
-    register_scenario_check as _exhaustive_check,
-    register_scenario_factory as _exhaustive_register_scenario,
-)
-
-
 @register("E13")
 def run_e13() -> ExperimentResult:
     """Every interleaving of small scenarios satisfies Theorem 8 /

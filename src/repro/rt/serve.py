@@ -14,7 +14,8 @@ log to rebuild its exact validator (object kind, roster, seed,
 substrates); ``--spec NAME`` instead checks any named fastlin spec
 (linearizability only).  A stream that ends without its ``end`` marker
 — producer crash, disconnect, truncation — yields a PARTIAL verdict
-carrying the last verified frontier, never a bogus OK.
+carrying the last verified frontier, never a bogus OK.  A log whose
+``hello`` line names an unknown protocol version is rejected outright.
 
 Exit codes follow the repo convention: 0 verified clean, 1 a violation
 was proven (linearizability or audit exactness), 2 partial/undecided
@@ -46,7 +47,7 @@ from repro.rt.stress import (
     _stress_pids,
     build_stress_register,
 )
-from repro.sim.event_log import parse_line
+from repro.sim.event_log import ProtocolVersionError, parse_line
 
 
 @dataclass
@@ -304,6 +305,8 @@ def serve_file(
                 line, buffer = buffer + chunk, ""
                 try:
                     more = server.feed_line(line)
+                except ProtocolVersionError:
+                    raise
                 except (ValueError, KeyError):
                     break  # corrupt tail: truncation semantics
                 if not more:

@@ -3,17 +3,11 @@
 The online verdict paths move history events across process and
 machine boundaries — the thread/process runtimes stream them into
 ``python -m repro serve``, and ``stress --online --event-log`` spools
-them to disk.  This module defines the codec and the line protocol.
+them to disk.  This module defines the line protocol.
 
-The value codec extends :mod:`repro.analysis.fastlin`'s canonical
-tagged-JSON (tuples/sets/lists/dicts) with the *loose* tags event
-payloads need: the ``⊥`` sentinel, :class:`~repro.memory.rword.RWord`
-triples (primitive results on ``R`` — the windowed audit oracle reads
-``.val`` off them), dataclasses (revived to their real ``repro.*``
-class so ``isinstance`` hooks like ``register._decode_value`` keep
-working, degrading to attribute-compatible hashable
-:class:`NsShell` shells for foreign or since-renamed classes) and, as
-a last resort, ``repr`` capsules that compare by their text.
+Values go through the repo's one value codec, :mod:`repro.codec`, with
+its ``repr`` leaf fallback: the event log is the only writer that
+accepts a value no tag covers, as a capsule that compares by its text.
 
 Line protocol (one JSON object per line)::
 
@@ -23,158 +17,27 @@ Line protocol (one JSON object per line)::
     {"k": "end", "events": N}           clean end-of-stream marker
 
 A stream that stops without its ``end`` marker was truncated — the
-consumer must report a PARTIAL verdict, never OK.
+consumer must report a PARTIAL verdict, never OK.  A ``hello`` line
+naming any other version is rejected with
+:class:`ProtocolVersionError`: a reader must never judge a format it
+does not know.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
-from types import SimpleNamespace
 from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
 
-from repro.analysis.fastlin import decode_value, encode_value
-from repro.core.audit_set import SET_TYPES
-from repro.memory.base import BOTTOM, Bottom
-from repro.memory.rword import RWord
+from repro.codec import decode_value, encode_value, repr_leaf
 from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
 
 #: Wire-format version (the ``hello`` line carries it).
 PROTOCOL_VERSION = 1
 
 
-class ReprCapsule:
-    """Last-resort encoding of a value with no structural codec: keeps
-    the ``repr`` text and compares by it."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    def __repr__(self) -> str:
-        return self.text
-
-    def __eq__(self, other: Any) -> bool:
-        return repr(self) == repr(other)
-
-    def __hash__(self) -> int:
-        return hash(self.text)
-
-
-class NsShell(SimpleNamespace):
-    """Decoded dataclass shell that oracles can key sets/dicts on.
-
-    Hashes by attribute *names* only (equal shells have equal attribute
-    sets, so the hash contract holds even when attribute values are
-    unhashable decoded containers); equality stays SimpleNamespace's
-    attribute-wise comparison.
-    """
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.__dict__))
-
-
-def encode_loose(value: Any) -> Any:
-    """JSON-safe encoding of an event value (superset of
-    :func:`repro.analysis.fastlin.encode_value`)."""
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, Bottom):
-        return {"btm": 1}
-    if isinstance(value, RWord):
-        return {
-            "rw": [value.seq, encode_loose(value.val), value.bits]
-        }
-    if isinstance(value, tuple):
-        return {"t": [encode_loose(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [encode_loose(v) for v in value]}
-    if isinstance(value, SET_TYPES):
-        return {
-            "s": sorted(
-                (encode_loose(v) for v in value),
-                key=lambda e: json.dumps(e, sort_keys=True),
-            )
-        }
-    if isinstance(value, dict):
-        return {
-            "d": [
-                [encode_loose(k), encode_loose(v)]
-                for k, v in value.items()
-            ]
-        }
-    if is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        return {
-            "ns": {
-                "c": f"{cls.__module__}.{cls.__qualname__}",
-                "f": {
-                    f.name: encode_loose(getattr(value, f.name))
-                    for f in fields(value)
-                },
-            }
-        }
-    return {"rx": repr(value)}
-
-
-def _revive_dataclass(path: str, attrs: Dict[str, Any]) -> Any:
-    """Reconstruct a repo dataclass from its wire form, or fall back
-    to an attribute-compatible :class:`NsShell`.
-
-    Only ``repro.*`` classes are ever imported (the producer is this
-    repo; a log naming anything else is treated as foreign data), and
-    any reconstruction failure — renamed class, changed fields —
-    degrades to the shell rather than rejecting the stream.
-    """
-    if path.startswith("repro."):
-        module_name, _, qualname = path.rpartition(".")
-        try:
-            module = __import__(module_name, fromlist=["_"])
-            cls = module
-            for part in qualname.split("."):
-                cls = getattr(cls, part)
-            return cls(**attrs)
-        except Exception:
-            pass
-    return NsShell(**attrs)
-
-
-def decode_loose(encoded: Any) -> Any:
-    """Inverse of :func:`encode_loose` (to oracle-compatible values)."""
-    if not isinstance(encoded, dict):
-        return encoded
-    (tag, items), = encoded.items()
-    if tag == "btm":
-        return BOTTOM
-    if tag == "rw":
-        seq, val, bits = items
-        return RWord(seq, decode_loose(val), bits)
-    if tag == "t":
-        return tuple(decode_loose(v) for v in items)
-    if tag == "l":
-        return [decode_loose(v) for v in items]
-    if tag == "s":
-        return frozenset(decode_loose(v) for v in items)
-    if tag == "d":
-        return {decode_loose(k): decode_loose(v) for k, v in items}
-    if tag == "ns":
-        return _revive_dataclass(
-            items["c"],
-            {name: decode_loose(v) for name, v in items["f"].items()},
-        )
-    if tag == "rx":
-        return ReprCapsule(items)
-    raise ValueError(f"unknown event-payload tag {tag!r}")
-
-
-def strict_or_loose(value: Any) -> Any:
-    """Prefer fastlin's canonical encoding (byte-stable set ordering),
-    fall back to the loose tags for values it cannot carry."""
-    try:
-        return encode_value(value)
-    except TypeError:
-        return encode_loose(value)
+class ProtocolVersionError(ValueError):
+    """A ``hello`` line names a wire-format version this reader does
+    not speak.  Unlike a corrupt line it is never read as truncation."""
 
 
 # ---------------------------------------------------------------------
@@ -189,7 +52,7 @@ def event_to_payload(event: Any) -> Dict[str, Any]:
             "p": event.pid,
             "o": event.op_id,
             "n": event.op_name,
-            "a": strict_or_loose(tuple(event.args)),
+            "a": encode_value(tuple(event.args), repr_leaf),
         }
     if isinstance(event, Response):
         return {
@@ -198,7 +61,7 @@ def event_to_payload(event: Any) -> Dict[str, Any]:
             "p": event.pid,
             "o": event.op_id,
             "n": event.op_name,
-            "r": strict_or_loose(event.result),
+            "r": encode_value(event.result, repr_leaf),
         }
     if isinstance(event, PrimitiveEvent):
         return {
@@ -208,8 +71,8 @@ def event_to_payload(event: Any) -> Dict[str, Any]:
             "o": event.op_id,
             "obj": event.obj_name,
             "prim": event.primitive,
-            "a": strict_or_loose(tuple(event.args)),
-            "r": strict_or_loose(event.result),
+            "a": encode_value(tuple(event.args), repr_leaf),
+            "r": encode_value(event.result, repr_leaf),
         }
     if isinstance(event, CrashEvent):
         return {
@@ -226,26 +89,22 @@ def event_from_payload(payload: Dict[str, Any]) -> Any:
     if kind == "inv":
         return Invocation(
             payload["i"], payload["p"], payload["o"], payload["n"],
-            decode_loose(payload["a"]),
+            decode_value(payload["a"]),
         )
     if kind == "res":
         return Response(
             payload["i"], payload["p"], payload["o"], payload["n"],
-            decode_loose(payload["r"]),
+            decode_value(payload["r"]),
         )
     if kind == "prim":
         return PrimitiveEvent(
             payload["i"], payload["p"], payload["o"], payload["obj"],
-            payload["prim"], decode_loose(payload["a"]),
-            decode_loose(payload["r"]),
+            payload["prim"], decode_value(payload["a"]),
+            decode_value(payload["r"]),
         )
     if kind == "crash":
         return CrashEvent(payload["i"], payload["p"], payload["o"])
     raise ValueError(f"unknown event kind {kind!r}")
-
-
-# Re-export for symmetry: op payloads decode with the strict codec.
-__all_decoders__ = (decode_value,)
 
 
 # ---------------------------------------------------------------------
@@ -340,6 +199,11 @@ def parse_line(line: str) -> Tuple[str, Any]:
     payload = json.loads(line)
     kind = payload.get("k")
     if kind == "hello":
+        if payload.get("v") != PROTOCOL_VERSION:
+            raise ProtocolVersionError(
+                f"event log protocol version {payload.get('v')!r} is not "
+                f"{PROTOCOL_VERSION}"
+            )
         return "hello", payload
     if kind == "end":
         return "end", payload.get("events")
@@ -351,7 +215,8 @@ def iter_event_log(path: str) -> Iterator[Tuple[str, Any]]:
 
     Torn trailing lines (a writer killed mid-write) are swallowed —
     the stream simply ends without its ``end`` marker, which consumers
-    already treat as truncation.
+    already treat as truncation.  An unknown protocol version raises
+    :class:`ProtocolVersionError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -359,9 +224,12 @@ def iter_event_log(path: str) -> Iterator[Tuple[str, Any]]:
             if not line:
                 continue
             try:
-                yield parse_line(line)
+                parsed = parse_line(line)
+            except ProtocolVersionError:
+                raise
             except (ValueError, KeyError):
                 return
+            yield parsed
 
 
 def load_event_log(

@@ -16,16 +16,12 @@ from repro.analysis import (
     check_audit_exactness,
     check_audit_exactness_streaming,
 )
-from repro.analysis.fastlin import decode_value, encode_value, op_to_payload
+from repro.analysis.fastlin import op_to_payload
+from repro.codec import decode_value, encode_value, repr_leaf
 from repro.core import AuditSet
 from repro.rt.process_runtime import ObjectRegistry
 from repro.sim.checkpoint import StateVault
-from repro.sim.event_log import (
-    JsonlEventSink,
-    decode_loose,
-    encode_loose,
-    strict_or_loose,
-)
+from repro.sim.event_log import JsonlEventSink
 from repro.sim.events import CrashEvent, Invocation, PrimitiveEvent, Response
 from repro.sim.history import History
 from repro.sim.scheduler import RandomSchedule
@@ -141,11 +137,11 @@ class TestCodecs:
 
     @pytest.mark.parametrize("value", VALUES)
     def test_loose_codec_round_trip(self, value):
-        for encode in (encode_loose, strict_or_loose):
-            encoded = encode(value)
-            assert encoded == encode(_plain(value))
-            assert "rx" not in json.dumps(encoded)
-            assert decode_loose(json.loads(json.dumps(encoded))) == value
+        # The event log's leaf-tolerant encoding.
+        encoded = encode_value(value, repr_leaf)
+        assert encoded == encode_value(_plain(value), repr_leaf)
+        assert "rx" not in json.dumps(encoded)
+        assert decode_value(json.loads(json.dumps(encoded))) == value
 
     @pytest.mark.parametrize("value", VALUES)
     def test_checkpoint_canon(self, value):

@@ -17,11 +17,10 @@ from repro.analysis.fastlin import (
     LIN_FAIL,
     LIN_OK,
     LIN_UNDECIDED,
+    PENDING,
     FastLinChecker,
     check_histories_parallel,
     check_history,
-    decode_value,
-    encode_value,
     lin_jobs,
     op_from_payload,
     op_to_payload,
@@ -29,11 +28,7 @@ from repro.analysis.fastlin import (
     spec_from_name,
     spec_names,
 )
-from repro.analysis.linearizability import (
-    PENDING,
-    LinearizabilityChecker,
-    legacy_check_history,
-)
+from repro.analysis.linearizability import legacy_check_history
 from repro.analysis.specs import (
     auditable_register_spec,
     register_array_spec,
@@ -43,6 +38,10 @@ from repro.analysis.specs import (
     tag_reads,
     versioned_spec,
 )
+from repro.codec import ReprCapsule, decode_value, encode_value, repr_leaf
+from repro.core.types import Nonced
+from repro.memory.base import BOTTOM
+from repro.memory.rword import RWord
 from repro.sim.history import OperationRecord
 
 
@@ -399,10 +398,12 @@ class TestBudget:
         assert result.status == LIN_UNDECIDED
         assert result.undecided and not result.ok
 
-    def test_legacy_shim_still_raises(self):
-        checker = LinearizabilityChecker(SPEC, max_nodes=1)
-        with pytest.raises(RuntimeError, match="exceeded"):
-            checker.check(self.OPS)
+    def test_analysis_check_history_returns_undecided(self):
+        import repro.analysis
+
+        assert repro.analysis.check_history is check_history
+        result = repro.analysis.check_history(self.OPS, SPEC, max_nodes=1)
+        assert result.status == LIN_UNDECIDED
 
     def test_budget_does_not_crash_stress_harness(self):
         """Regression: a budget-limited post-validation used to raise
@@ -468,6 +469,8 @@ class TestCodec:
             {"k": (1, frozenset({2}))},
             (),
             frozenset(),
+            (BOTTOM, RWord(3, ("v", frozenset({1})), 0b101)),
+            Nonced(value=4, nonce=9),
         ]
         for value in values:
             encoded = encode_value(value)
@@ -496,6 +499,16 @@ class TestCodec:
     def test_unencodable_value_raises(self):
         with pytest.raises(TypeError):
             encode_value(object())
+
+    def test_payload_refuses_a_leaf_the_event_log_capsules(self):
+        record = op("r0", 0, "read", (), 0, 1, result=(object(), 1))
+        with pytest.raises(TypeError):
+            op_to_payload(record)
+        encoded = encode_value(("x", 1), repr_leaf)
+        assert encoded == encode_value(("x", 1))
+        capsule = encode_value((ReprCapsule("<c>"), 1), repr_leaf)
+        assert capsule == {"t": [{"rx": "<c>"}, 1]}
+        assert decode_value(capsule) == (ReprCapsule("<c>"), 1)
 
 
 # ---------------------------------------------------------------------

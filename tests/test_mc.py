@@ -4,6 +4,9 @@ The load-bearing properties:
 
 - checkpoint/restore round-trips a live simulation exactly (state,
   history, determinism of the continuation);
+- raw enumeration (``reduce=False, fingerprints=False``) visits every
+  interleaving, runs the check once per execution and collects (never
+  raises) its violations;
 - POR soundness: on small scenarios -- including ones *with*
   violations -- the reduced explorer reports exactly the same violation
   set as the raw enumeration;
@@ -78,6 +81,29 @@ def disjoint_scenario(steps=2):
     return factory
 
 
+def shared_read_scenario(steps_a=2, steps_b=2):
+    """Two processes spinning reads on one shared register."""
+
+    def factory():
+        sim = Simulation()
+        reg = AtomicRegister("x", 0)
+
+        def spin(n):
+            def gen():
+                for _ in range(n):
+                    yield from reg.read()
+
+            return gen
+
+        sim.spawn("a")
+        sim.spawn("b")
+        sim.add_program("a", [Op("spin", spin(steps_a))])
+        sim.add_program("b", [Op("spin", spin(steps_b))])
+        return sim, reg
+
+    return factory
+
+
 class TestCheckpointRestore:
     def test_roundtrip_restores_state_and_history(self):
         factory, _ = get_scenario("alg1-w1-r1")()
@@ -143,6 +169,14 @@ class TestRawEnumeration:
             factory = counter_scenario(tuple(range(k)), tuple(range(k)))
             assert count_interleavings(factory) == math.comb(2 * n, n)
 
+    def test_shared_reads_count_match_combinatorics(self):
+        # Reads on one register are still enumerated one by one in raw
+        # mode: C(2(k+1), k+1) interleavings for k reads each.
+        for k in (1, 2, 3):
+            n = k + 1
+            factory = shared_read_scenario(k, k)
+            assert count_interleavings(factory) == math.comb(2 * n, n)
+
     def test_disjoint_registers_collapse_to_precedence_classes(self):
         factory = disjoint_scenario(2)
         raw = count_interleavings(factory)
@@ -155,6 +189,48 @@ class TestRawEnumeration:
         # observable, so exactly the three real-time precedence
         # classes survive: a<b, b<a, overlapping.
         assert reduced == 3
+
+    def test_single_process_has_one_execution(self):
+        def factory():
+            sim = Simulation()
+            reg = AtomicRegister("x", 0)
+
+            def gen():
+                yield from reg.read()
+
+            sim.spawn("a")
+            sim.add_program("a", [Op("op", gen)])
+            return sim, reg
+
+        assert count_interleavings(factory) == 1
+
+    def test_check_called_per_execution(self):
+        seen = []
+        explore(
+            counter_scenario((1,), (2,)),
+            lambda sim, ctx: seen.append(len(sim.history.events)) or None,
+            reduce=False, fingerprints=False,
+        )
+        assert len(seen) == 6  # C(4, 2)
+
+    def test_violations_collected_not_raised(self):
+        report = explore(
+            counter_scenario((1,), (2,)),
+            lambda sim, ctx: "bad execution",
+            reduce=False, fingerprints=False,
+        )
+        assert not report.ok
+        assert len(report.violations) == 6
+        assert "bad execution" in report.violations[0]
+
+    def test_check_exceptions_recorded(self):
+        def check(sim, ctx):
+            raise ValueError("boom")
+
+        report = explore(counter_scenario((1,), (2,)), check,
+                         reduce=False, fingerprints=False)
+        assert len(report.violations) == 6
+        assert all("ValueError: boom" in v for v in report.violations)
 
 
 class TestPORSoundness:
@@ -312,6 +388,11 @@ class TestBudgets:
         assert len(report.violations) >= 5
         assert "schedule" in report.violations[0]
 
+    def test_raw_execution_budget_on_shared_reads(self):
+        with pytest.raises(ExplorationBudgetExceeded):
+            explore(shared_read_scenario(4, 4), lambda sim, ctx: None,
+                    max_executions=5, reduce=False, fingerprints=False)
+
     def test_depth_budget_partial_report(self):
         factory = counter_scenario(tuple(range(10)), tuple(range(10)))
         with pytest.raises(ExplorationBudgetExceeded) as exc_info:
@@ -319,12 +400,11 @@ class TestBudgets:
         assert exc_info.value.report is not None
         assert "deeper than 3" in str(exc_info.value)
 
-    def test_legacy_shim_still_raises(self):
-        from repro.analysis.exhaustive import explore as legacy
-
-        factory = counter_scenario((1, 2, 3, 4), (5, 6, 7, 8))
+    def test_raw_depth_budget(self):
+        factory = counter_scenario(tuple(range(10)), tuple(range(10)))
         with pytest.raises(ExplorationBudgetExceeded):
-            legacy(factory, lambda sim, ctx: None, max_executions=5)
+            explore(factory, lambda sim, ctx: None, max_depth=3,
+                    reduce=False, fingerprints=False)
 
 
 class TestParallelFrontiers:
@@ -393,3 +473,13 @@ class TestE13Driver:
             r["explored (POR)"] for r in reductions.values()
         )
         assert total_base >= 5 * total_reduced
+
+    def test_e13_interleaving_counts(self, e13_result):
+        # The raw interleaving counts are themselves a regression oracle
+        # for the algorithms' step structure.
+        counts = {
+            row["scenario"]: row["interleavings"] for row in e13_result.rows
+        }
+        assert counts["Alg1: 1 write || 1 read"] == 320
+        assert counts["Alg1: 2 reads (after a write)"] == 70
+        assert counts["Alg2: 1 writeMax || 1 read"] == 835

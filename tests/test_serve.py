@@ -8,6 +8,8 @@ PARTIAL (or proven-FAIL) verdict carrying the last verified frontier,
 never a hang and never a bogus OK.
 """
 
+import json
+
 import pytest
 
 from repro.analysis.fastlin import LIN_OK, check_history
@@ -22,7 +24,7 @@ from repro.rt.serve import (
     validator_from_meta,
 )
 from repro.rt.stress import run_stress
-from repro.sim.event_log import load_event_log
+from repro.sim.event_log import PROTOCOL_VERSION, load_event_log
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +297,31 @@ class TestServerProtocol:
 
 
 class TestCli:
+    def test_unknown_protocol_version_is_rejected(
+        self, register_log, tmp_path, capsys
+    ):
+        """A log in a format this reader does not know is an input
+        error (exit 2), never served as OK nor read as truncation."""
+        from repro.__main__ import main
+
+        path, _ = register_log
+        lines = read_lines(path)
+        hello = json.loads(lines[0])
+        assert hello["k"] == "hello" and hello["v"] == PROTOCOL_VERSION
+        hello["v"] = 99
+        forged = tmp_path / "v99.jsonl"
+        forged.write_text(json.dumps(hello) + "\n" + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="version 99"):
+            serve_file(VerdictServer(), str(forged))
+        with pytest.raises(ValueError, match="version 99"):
+            serve_lines(VerdictServer(), read_lines(forged))
+        with pytest.raises(ValueError, match="version 99"):
+            load_event_log(str(forged))
+        assert main(["serve", str(forged)]) == 2
+        captured = capsys.readouterr()
+        assert "invalid event log" in captured.err
+        assert "OK" not in captured.out
+
     def test_serve_smoke_subcommand(self, capsys):
         from repro.__main__ import main
 

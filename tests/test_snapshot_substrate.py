@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import check_history
-from repro.analysis.linearizability import PENDING, SeqSpec
+from repro.analysis.fastlin import PENDING, SeqSpec
 from repro.analysis.specs import tag_ops_with_pid
 from repro.sim.process import Op
 from repro.sim.runner import Simulation
