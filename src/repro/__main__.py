@@ -844,9 +844,8 @@ def _stress(argv) -> int:
     parser.add_argument(
         "--faults", default=None, metavar="FAMILIES",
         help="chaos mode: comma-separated fault families injected at "
-        "the primitive-arrival seam.  The process runtime supports "
-        "crash, delay, partition, dup, omit, recover (served at the "
-        "memory server); the thread runtime supports crash, delay "
+        "the primitive-arrival seam, any of crash, delay, partition, "
+        "dup, omit, recover on either runtime "
         "(e.g. --faults crash,partition,dup)",
     )
     parser.add_argument(

@@ -1,9 +1,9 @@
-"""Fault plans: message-level fault injection on the schedule seam.
+"""Fault plans and the one fault interpreter both runtimes execute.
 
 The paper's audit guarantees are claimed for an asynchronous system
 where the *adversary* controls scheduling and failures; the happy path
 is the least interesting execution.  This module is the home of the
-fault vocabulary shared by both runtimes:
+fault vocabulary and of its arrival-level semantics:
 
 - the **decision classes** live in :mod:`repro.sim.scheduler`
   (:class:`~repro.sim.scheduler.CrashDecision`,
@@ -14,9 +14,15 @@ fault vocabulary shared by both runtimes:
   :class:`~repro.sim.scheduler.OmitDecision`) because faults *are*
   schedule decisions: anything a ``Schedule.choose`` may return, a
   ``FaultPlan.decide`` may return, and vice versa;
-- the **fault plans** below decide, per primitive arrival at the
-  :mod:`repro.rt.process_runtime` memory server, whether to inject one
-  of them;
+- the **fault plans** below decide, per primitive arrival, whether to
+  inject one of them;
+- :class:`FaultState` turns each decision into an action (apply,
+  crash, omit, hold) plus at most one side effect (duplicate, recover).
+  The memory server of :mod:`repro.rt.process_runtime` and the
+  :mod:`repro.rt.thread_runtime` both run it, so a fault means the same
+  thing on either backend; the simulator interprets the same decisions
+  on its schedule seam and is the reference the equivalence tests
+  compare against;
 - the fuzzer (:mod:`repro.fuzz`) explores the same vocabulary as
   recorded trace decisions, so a chaos-run failure and a fuzzer
   counterexample are the same kind of artifact.
@@ -34,7 +40,7 @@ sees an ordinary process with one extra pending operation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro._seeding import stable_hash
 from repro.sim.scheduler import (
@@ -79,6 +85,7 @@ class FaultPlan:
     - :class:`~repro.sim.scheduler.RecoverDecision` — restart the named
       crashed process from a fresh replica.
 
+    :class:`FaultState` gives these decisions their runtime meaning.
     Plans must be picklable: they ship to the memory-server process at
     spawn.
     """
@@ -308,3 +315,154 @@ def chaos_plan(
         max_crashes=max_crashes,
         pids=pids,
     )
+
+
+#: The actions :meth:`FaultState.arrive` returns for one arrival.
+APPLY, CRASH, OMIT, HOLD = "apply", "crash", "omit", "hold"
+
+
+class FaultState:
+    """The arrival-level fault interpreter both runtimes execute.
+
+    A pure state machine: it reads no clock and starts nothing.  Each
+    primitive arrival ``(pid, obj_name, primitive)`` consults the plan
+    with its 1-based arrival index and gets back one action:
+
+    - :data:`APPLY` — apply the primitive now;
+    - :data:`CRASH` — the requester crashed: its operation stays
+      pending and it awaits a verdict (:meth:`bury` or a recover);
+    - :data:`OMIT` — the request is dropped: the requester abandons
+      the operation (pending forever) and moves on;
+    - :data:`HOLD` — the request waits (delay or partition) until
+      :meth:`release` or :meth:`release_all` hands it back.
+
+    plus at most one side effect, ``("dup", pid, entry)`` (re-apply
+    ``pid``'s last applied primitive ``entry``, recorded under its
+    original operation) or ``("recover", pid, item)`` (restart the
+    crashed ``pid``, whose arrival carried ``item``).
+
+    ``now`` is the caller's clock for delay due times and partition
+    heal marks — the memory server's message count, or by default the
+    arrival index.  ``item`` is whatever the caller needs to resume a
+    held or crashed arrival; the machine only hands it back.  The
+    caller serialises all calls.
+    """
+
+    def __init__(self, plan: FaultPlan) -> None:
+        self.plan = plan
+        # Held, omitted and crashed arrivals consume an index too, so a
+        # scripted decision never re-fires on the victim's next request.
+        self.arrivals = 0
+        #: Pids crashed by fault injection, in crash order.
+        self.crashed: Tuple[str, ...] = ()
+        # A crash naming another pid lands at that pid's next arrival.
+        self._doomed: set = set()
+        # pid -> last ``now`` at which it is still severed from memory.
+        self._partitioned: Dict[str, int] = {}
+        # Held arrivals in arrival order: (due, pid, item) for delays,
+        # (pid, item) for parked requests of partitioned pids.
+        self._delayed: List[Tuple[int, str, Any]] = []
+        self._parked: List[Tuple[str, Any]] = []
+        # pid -> its most recently applied primitive (what a dup replays).
+        self._last_applied: Dict[str, Any] = {}
+        # Crashed pids awaiting a recover or dead verdict -> their item.
+        self._awaiting: Dict[str, Any] = {}
+
+    @property
+    def held(self) -> int:
+        return len(self._delayed) + len(self._parked)
+
+    @property
+    def awaiting(self) -> int:
+        return len(self._awaiting)
+
+    def status(self, pid: str) -> str:
+        """``held``, ``awaiting verdict`` or ``running`` (diagnostics)."""
+        if pid in self._awaiting:
+            return "awaiting verdict"
+        held = [e[1] for e in self._delayed] + [e[0] for e in self._parked]
+        return "held" if pid in held else "running"
+
+    def arrive(
+        self,
+        pid: str,
+        obj_name: str,
+        primitive: str,
+        now: Optional[int] = None,
+        item: Any = None,
+    ) -> Tuple[str, Optional[Tuple[str, str, Any]]]:
+        """Rule on one arrival; returns ``(action, effect)``."""
+        self.arrivals += 1
+        now = self.arrivals if now is None else now
+        if pid in self._doomed:
+            self._doomed.discard(pid)
+            decision: Any = CrashDecision(pid)
+        else:
+            decision = self.plan.decide(
+                self.arrivals, pid, obj_name, primitive
+            )
+        effect = None
+        victim = getattr(decision, "pid", None)
+        if isinstance(decision, CrashDecision):
+            if victim == pid:
+                self.crashed += (pid,)
+                self._awaiting[pid] = item
+                return CRASH, None
+            self._doomed.add(victim)
+        elif isinstance(decision, OmitDecision) and victim == pid:
+            return OMIT, None
+        elif isinstance(decision, RecoverDecision):
+            # Nominations of pids not awaiting a verdict are ignored.
+            if victim in self._awaiting:
+                effect = ("recover", victim, self._awaiting.pop(victim))
+        elif isinstance(decision, DuplicateDecision):
+            if victim in self._last_applied:
+                effect = ("dup", victim, self._last_applied[victim])
+        elif isinstance(decision, PartitionDecision):
+            marks, heal = self._partitioned, now + decision.steps
+            for vpid in decision.pids:
+                marks[vpid] = max(marks.get(vpid, 0), heal)
+        mark = self._partitioned.get(pid)
+        if mark is not None and mark >= now:
+            self._parked.append((pid, item))
+            return HOLD, effect
+        self._partitioned.pop(pid, None)
+        if isinstance(decision, DelayDecision):
+            self._delayed.append((now + decision.steps, pid, item))
+            return HOLD, effect
+        return APPLY, effect
+
+    def applied(self, pid: str, entry: Any) -> None:
+        """Note ``pid``'s latest applied primitive, for duplicates."""
+        self._last_applied[pid] = entry
+
+    def release(self, now: int) -> List[Tuple[str, Any]]:
+        """Held arrivals whose hold ended by ``now``: due delays, then
+        parked requests of healed pids, each in arrival order.  A
+        released request applies directly: the plan ruled on it at
+        arrival."""
+        if not (self._delayed or self._parked):
+            return []
+        due = [e[1:] for e in self._delayed if e[0] <= now]
+        self._delayed = [e for e in self._delayed if e[0] > now]
+        self._partitioned = {
+            pid: mark for pid, mark in self._partitioned.items() if mark >= now
+        }
+        healed = [e for e in self._parked if e[0] not in self._partitioned]
+        self._parked = [e for e in self._parked if e[0] in self._partitioned]
+        return due + healed
+
+    def release_all(self) -> List[Tuple[str, Any]]:
+        """The system would otherwise idle: heal every partition and
+        hand back every held arrival (delays first, in arrival order)."""
+        out = [e[1:] for e in self._delayed] + self._parked
+        self._delayed, self._parked = [], []
+        self._partitioned.clear()
+        return out
+
+    def bury(self) -> List[Tuple[str, Any]]:
+        """No recover can come any more: every crashed pid awaiting a
+        verdict stays dead.  Returns their ``(pid, item)`` pairs."""
+        out = list(self._awaiting.items())
+        self._awaiting.clear()
+        return out

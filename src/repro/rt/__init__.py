@@ -8,24 +8,31 @@
   locks around :meth:`~repro.memory.base.BaseObject.apply`, thread-safe
   monotonically-indexed history (:mod:`repro.rt.thread_runtime`).
 - :class:`ProcessRuntime` — one real OS process per process, primitives
-  applied over message channels by a memory-server process; network
-  faults (:class:`FaultPlan`) injectable on the same schedule-decision
-  seam as the fuzzer's crashes (:mod:`repro.rt.process_runtime`).
+  applied over message channels by a memory-server process
+  (:mod:`repro.rt.process_runtime`).
 - :func:`run_stress` — the stress/throughput harness behind
   ``python -m repro stress`` (:mod:`repro.rt.stress`).
+
+Both real runtimes take a :class:`FaultPlan` and interpret it with the
+same :class:`repro.faults.FaultState`, on the same schedule-decision
+seam as the fuzzer's crashes.
 """
 
-from repro.faults import FAULT_FAMILIES, chaos_plan, parse_fault_families
+from repro.faults import (
+    FAULT_FAMILIES,
+    FaultPlan,
+    ScriptedFaultPlan,
+    SeededFaultPlan,
+    chaos_plan,
+    parse_fault_families,
+)
 from repro.rt.base import Runtime, make_runtime
 from repro.rt.process_runtime import (
     CrashedByServer,
-    FaultPlan,
     ObjectRegistry,
     PidRef,
     PrimitiveOmitted,
     ProcessRuntime,
-    ScriptedFaultPlan,
-    SeededFaultPlan,
 )
 from repro.rt.sim_runtime import SimRuntime
 from repro.rt.stress import (

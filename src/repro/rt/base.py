@@ -25,8 +25,10 @@ effectiveness) consume unchanged.  Three backends ship:
 - :class:`~repro.rt.process_runtime.ProcessRuntime` — one real OS
   process per process, primitives applied over message channels by a
   memory-server process that owns the objects and the history (true
-  multi-core parallelism; network faults injectable on the schedule
-  decision seam).
+  multi-core parallelism).
+
+Both real backends take an optional :class:`~repro.faults.FaultPlan`
+and interpret it with the same :class:`~repro.faults.FaultState`.
 
 Handles (readers/writers/auditors/scanners) consume only the spawned
 process's ``pid``, so algorithm code runs unmodified on either backend.
@@ -94,10 +96,11 @@ def make_runtime(
     when no explicit schedule is given).  The thread and process
     backends take interleavings from the OS, so those options are
     accepted but ignored for them — callers can pass one configuration
-    to any backend.  ``build``/``build_args``/``faults`` configure the
-    process backend (the picklable system builder every process replays,
-    and an optional :class:`~repro.rt.process_runtime.FaultPlan`); they
-    are ignored by the others.
+    to any backend.  ``build``/``build_args`` configure the process
+    backend (the picklable system builder every process replays) and
+    are ignored by the others; ``faults`` (an optional
+    :class:`~repro.faults.FaultPlan`) arms the thread and process
+    backends.
 
     ``event_log`` streams every recorded history event to a JSONL file
     (the :mod:`repro.sim.event_log` wire format) on any backend;
@@ -118,7 +121,7 @@ def make_runtime(
     elif kind == "thread":
         from repro.rt.thread_runtime import ThreadRuntime
 
-        runtime = ThreadRuntime()
+        runtime = ThreadRuntime(faults=faults)
     elif kind == "process":
         from repro.rt.process_runtime import ProcessRuntime
 

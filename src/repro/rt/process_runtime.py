@@ -35,31 +35,15 @@ This is why programs are given as picklable *factories* rather than
 closed-over :class:`~repro.sim.process.Op` lists: the worker must be
 able to rebuild them on its side of the fork/spawn boundary.
 
-**Faults are schedule decisions.**  Before applying a primitive the
-server consults an optional :class:`~repro.faults.FaultPlan`, which
-may return any decision the fuzzer's schedule adversaries emit:
-
-- ``CrashDecision`` — crash the process at its next primitive; the
-  pending operation stays pending, exactly like a simulator crash.
-  The crashed worker then *blocks* awaiting a verdict: a later
-  ``RecoverDecision`` restarts it from a fresh replica (rebuilt via
-  the picklable ``build``/program factories; the crashed operation is
-  skipped, later operations get fresh op ids), and when the run ends
-  without one the server confirms it stays dead.
-- ``DelayDecision`` — hold the request while later-arriving messages
-  from other processes are served first (network delay/reorder).
-- ``PartitionDecision`` — park every request from the named pids until
-  ``steps`` further arrivals have been served, or until no other
-  traffic remains; parked requests are then applied in arrival order
-  (a severed-then-healed network segment).
-- ``DuplicateDecision`` — re-apply the named pid's most recently
-  applied primitive and record the second application in the history;
-  the worker never sees the duplicate's result.  The history keeps
-  matching true application order, so the audit oracle judges what
-  the memory actually did.
-- ``OmitDecision`` — drop the requester's message: never applied,
-  never recorded; the worker abandons the operation (it stays pending
-  in the history) and continues with its next one.
+**Faults are schedule decisions.**  The server runs every primitive
+request through :class:`~repro.faults.FaultState`, the fault
+interpreter the thread runtime shares, and only executes its actions:
+apply, crash (the worker blocks awaiting a recover or dead verdict;
+on recovery it rebuilds its replica and program from the picklable
+factories and skips the crashed operation), omit (the worker sees
+:class:`PrimitiveOmitted` and moves on), hold, duplicate and recover.
+The machine's clock is the server's message count, and a server with
+no message for 50 ms releases every held request.
 
 Determinism matches the thread backend: values, pads and nonces replay
 from the seed; interleavings come from OS scheduling and message
@@ -76,28 +60,17 @@ from multiprocessing.connection import wait as conn_wait
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.audit_set import SET_TYPES
-from repro.faults import FaultPlan, ScriptedFaultPlan, SeededFaultPlan
+from repro.faults import APPLY, CRASH, OMIT, FaultPlan, FaultState
 from repro.memory.array import BitMatrix, RegisterArray
 from repro.memory.base import BaseObject
 from repro.rt.base import Runtime
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
-from repro.sim.scheduler import (
-    CrashDecision,
-    DelayDecision,
-    DuplicateDecision,
-    OmitDecision,
-    PartitionDecision,
-    RecoverDecision,
-)
 
 __all__ = [
     "CrashedByServer",
     "PrimitiveOmitted",
-    "FaultPlan",
-    "ScriptedFaultPlan",
-    "SeededFaultPlan",
     "ObjectRegistry",
     "PidRef",
     "ProcessRuntime",
@@ -240,17 +213,15 @@ def _worker_main(
             raise PrimitiveOmitted(pid)
         raise RuntimeError(f"memory server rejected a primitive: {reply[1]}")
 
-    try:
+    def load() -> Tuple[List[Op], Any]:
+        # A fresh replica and, from its factory, the program or source.
         system = build(*build_args)
-        program: List[Op] = []
-        source = None
+        made = spec["factory"](system, pid, *spec.get("args", ()))
+        return (list(made), None) if spec["kind"] == "program" else ([], made)
+
+    try:
+        program, source = load()
         budget = spec.get("max_ops")
-        factory = spec["factory"]
-        args = spec.get("args", ())
-        if spec["kind"] == "program":
-            program = list(factory(system, pid, *args))
-        else:
-            source = factory(system, pid, *args)
         barrier.wait(timeout=DEFAULT_WATCHDOG)
         deadline = None if duration is None else time.monotonic() + duration
         op_id = 0
@@ -275,27 +246,20 @@ def _worker_main(
             start = time.perf_counter() if record_latency else 0.0
             try:
                 result = drive_op(pid, op, apply_over_channel)
-            except CrashedByServer:
-                # Block until the server either recovers this process
-                # or (when the run winds down) confirms it stays dead.
-                # On recovery the replica and the program are rebuilt
-                # from their picklable factories — a genuine restart,
-                # not a resumed in-memory object.  The crashed
-                # operation is skipped (its history record stays
-                # pending) and later operations take fresh op ids.
-                verdict = conn.recv()
-                if verdict[0] != "recover":
-                    break
-                system = build(*build_args)
-                if spec["kind"] == "program":
-                    program = list(factory(system, pid, *args))
-                else:
-                    source = factory(system, pid, *args)
-                op_id += 1
-                continue
-            except PrimitiveOmitted:
-                # The dropped request surfaced as a timeout: abandon
-                # the operation (pending forever) and move on.
+            except (CrashedByServer, PrimitiveOmitted) as fault:
+                # Either way the operation is abandoned: its history
+                # record stays pending and later operations take fresh
+                # op ids.  A crashed worker first blocks until the
+                # server recovers it or (when the run winds down)
+                # confirms it stays dead; on recovery the replica and
+                # the program are rebuilt from their picklable
+                # factories — a genuine restart, not a resumed
+                # in-memory object.  An omitted request surfaced as a
+                # timeout, and the worker just moves on.
+                if isinstance(fault, CrashedByServer):
+                    if conn.recv()[0] != "recover":
+                        break
+                    program, source = load()
                 op_id += 1
                 continue
             outbox.append(("resp", op_id, op.name, result))
@@ -340,7 +304,6 @@ def _server_main(
         history.stream_to(event_sink, retain=retain_history)
     latencies: List[Tuple[str, str, float]] = []
     errors: List[Tuple[str, str]] = []
-    crashed: List[str] = []
     steps = 0
     try:
         registry = ObjectRegistry(build(*build_args))
@@ -348,157 +311,59 @@ def _server_main(
             conn: pid for pid, conn in conns_by_pid.items()
         }
         current_op: Dict[str, int] = {}
-        doomed = set()
-        # Crashed workers blocked awaiting a recover/dead verdict:
-        # pid -> conn (removed from ``active`` while waiting).
-        awaiting: Dict[str, Any] = {}
-        # Most recent applied primitive per pid (op_id, obj_name,
-        # primitive, args): what a DuplicateDecision re-delivers.
-        last_applied: Dict[str, Tuple[int, str, str, Tuple[Any, ...]]] = {}
-        # Partitioned pids: pid -> last msgs index still severed; their
-        # requests are parked (conn, pid, message) in arrival order.
-        partitioned: Dict[str, int] = {}
-        parked: List[Tuple[Any, str, Tuple[Any, ...]]] = []
-        # Held (delayed) primitive requests: (release_at_msgs, conn,
-        # pid, message).  Released once enough later messages have been
-        # served, or immediately when the system would otherwise idle.
-        delayed: List[Tuple[int, Any, str, Tuple[Any, ...]]] = []
+        # The fault interpreter; its clock is ``msgs``, the count of
+        # messages served, so holds and heals are measured in traffic.
+        # Held and crashed arrivals carry (conn, message).
+        state = FaultState(faults) if faults is not None else None
         msgs = 0
-        # 1-based arrival index of primitive requests: what the fault
-        # plan keys on.  Distinct from ``steps`` (applied primitives) —
-        # an omitted or delayed request still consumes an index, so a
-        # scripted decision never re-fires on the victim's next request.
-        requests = 0
 
-        def apply_prim(conn, pid, message):
+        def apply_prim(pid, op_id, message, conn=None):
+            # Apply and record one primitive, replying on ``conn``.  A
+            # duplicate has no conn: nobody sees its result, and a
+            # failing one is dropped.
             nonlocal steps
             _, obj_name, primitive, args = message
             try:
                 result = registry.resolve(obj_name).apply(primitive, args)
             except Exception:  # noqa: BLE001 - reported to the worker
-                conn.send(("err", traceback.format_exc()))
+                if conn is not None:
+                    conn.send(("err", traceback.format_exc()))
                 return
             steps += 1
             history.record_primitive(
-                pid, current_op.get(pid, 0), obj_name, primitive, args, result
+                pid, op_id, obj_name, primitive, args, result
             )
-            last_applied[pid] = (
-                current_op.get(pid, 0), obj_name, primitive, args
-            )
-            conn.send(("ok", result))
-
-        def apply_duplicate(dpid):
-            # Re-deliver dpid's most recent applied message.  The second
-            # application is recorded under the original operation — the
-            # per-object log keeps matching true application order — and
-            # no reply is sent (the worker already has its result).
-            nonlocal steps
-            entry = last_applied.get(dpid)
-            if entry is None:
-                return
-            op_id, obj_name, primitive, args = entry
-            try:
-                result = registry.resolve(obj_name).apply(primitive, args)
-            except Exception:  # noqa: BLE001 - a dud duplicate is dropped
-                return
-            steps += 1
-            history.record_primitive(
-                dpid, op_id, obj_name, primitive, args, result
-            )
-
-        def recover_pid(rpid):
-            # Restart a crashed-and-waiting worker; nominations of pids
-            # that are not waiting are ignored (alive, or never crashed).
-            rconn = awaiting.pop(rpid, None)
-            if rconn is None:
-                return
-            rconn.send(("recover",))
-            active[rconn] = rpid
+            if conn is not None:
+                if state is not None:
+                    state.applied(pid, (op_id, message))
+                conn.send(("ok", result))
 
         def handle_prim(conn, pid, message):
-            nonlocal requests
-            requests += 1
-            decision = None
-            if pid in doomed:
-                doomed.discard(pid)
-                decision = CrashDecision(pid)
-            elif faults is not None:
-                decision = faults.decide(
-                    requests, pid, message[1], message[2]
-                )
-            if isinstance(decision, CrashDecision):
-                if decision.pid == pid:
-                    history.record_crash(pid, current_op.get(pid))
-                    crashed.append(pid)
-                    conn.send(("crash",))
-                    del active[conn]
-                    awaiting[pid] = conn
-                    return
-                # Crashing another process takes effect at *its* next
-                # primitive request; this one proceeds normally.
-                doomed.add(decision.pid)
-                decision = None
-            elif isinstance(decision, RecoverDecision):
-                recover_pid(decision.pid)
-                decision = None
-            elif isinstance(decision, DuplicateDecision):
-                apply_duplicate(decision.pid)
-                decision = None
-            elif isinstance(decision, OmitDecision):
-                if decision.pid == pid:
-                    conn.send(("omit",))
-                    return
-                decision = None
-            elif isinstance(decision, PartitionDecision):
-                for vpid in decision.pids:
-                    heal_at = msgs + decision.steps
-                    partitioned[vpid] = max(
-                        partitioned.get(vpid, 0), heal_at
-                    )
-                decision = None
-            if pid in partitioned:
-                if partitioned[pid] >= msgs:
-                    parked.append((conn, pid, message))
-                    return
-                del partitioned[pid]
-            if isinstance(decision, DelayDecision):
-                delayed.append((msgs + decision.steps, conn, pid, message))
+            if state is None:
+                apply_prim(pid, current_op.get(pid, 0), message, conn)
                 return
-            apply_prim(conn, pid, message)
+            action, effect = state.arrive(
+                pid, message[1], message[2], msgs, (conn, message)
+            )
+            if effect is not None and effect[0] == "dup":
+                apply_prim(effect[1], *effect[2])
+            elif effect is not None:
+                rconn = effect[2][0]
+                rconn.send(("recover",))
+                active[rconn] = effect[1]
+            if action == CRASH:
+                history.record_crash(pid, current_op.get(pid))
+                conn.send(("crash",))
+                # Blocked awaiting a verdict: out of the select set.
+                del active[conn]
+            elif action == OMIT:
+                conn.send(("omit",))
+            elif action == APPLY:
+                apply_prim(pid, current_op.get(pid, 0), message, conn)
 
-        def release_delayed(due_only: bool) -> None:
-            remaining = []
-            for entry in delayed:
-                if not due_only or entry[0] <= msgs:
-                    apply_prim(entry[1], entry[2], entry[3])
-                else:
-                    remaining.append(entry)
-            delayed[:] = remaining
-
-        def release_parked(due_only: bool) -> None:
-            # Heal partitions (all of them when the system would
-            # otherwise idle) and serve parked requests in arrival
-            # order.  Like delayed requests, a healed request applies
-            # directly: the fault plan ruled on it at arrival.
-            if due_only:
-                still = {
-                    vpid: heal
-                    for vpid, heal in partitioned.items()
-                    if heal >= msgs
-                }
-            else:
-                still = {}
-            partitioned.clear()
-            partitioned.update(still)
-            if not parked:
-                return
-            remaining = []
-            for conn, vpid, message in parked:
-                if vpid in partitioned:
-                    remaining.append((conn, vpid, message))
-                else:
-                    apply_prim(conn, vpid, message)
-            parked[:] = remaining
+        def serve_released(released) -> None:
+            for rpid, (rconn, message) in released:
+                apply_prim(rpid, current_op.get(rpid, 0), message, rconn)
 
         def handle_batch(conn, pid, batch) -> bool:
             """Serve one batch; False once the conn went inactive."""
@@ -522,7 +387,7 @@ def _server_main(
                         errors.append((pid, err))
                     del active[conn]
                     return False
-            # A crash mid-batch moves the conn to ``awaiting``; stop
+            # A crash mid-batch takes the conn out of ``active``; stop
             # draining it (the worker is blocked on a verdict).
             return conn in active
 
@@ -530,14 +395,13 @@ def _server_main(
         # ready channel is then drained greedily (poll(0) costs far less
         # than another select against every channel) so a busy system
         # pays the multiplexing overhead once per burst, not per
-        # primitive.  Crashed workers sit in ``awaiting`` outside the
+        # primitive.  Crashed workers await a verdict outside the
         # select set; once every live worker finished, they are told
         # they stay dead and rejoin only to deliver their final batch.
         active_list = list(active)
-        while active or awaiting:
+        while active or (state is not None and state.awaiting):
             if not active:
-                for rpid in list(awaiting):
-                    rconn = awaiting.pop(rpid)
+                for rpid, (rconn, _) in state.bury():
                     try:
                         rconn.send(("dead",))
                     except OSError:  # pragma: no cover - worker gone
@@ -546,16 +410,13 @@ def _server_main(
                 active_list = list(active)
                 if not active:
                     break
-            if delayed:
-                release_delayed(due_only=True)
-            if partitioned or parked:
-                release_parked(due_only=True)
+            if state is not None:
+                serve_released(state.release(msgs))
             ready = conn_wait(active_list, timeout=0.05)
             if not ready:
-                if delayed:
-                    release_delayed(due_only=False)
-                if partitioned or parked:
-                    release_parked(due_only=False)
+                # No message for 50 ms: the system would otherwise idle.
+                if state is not None:
+                    serve_released(state.release_all())
                 active_list = list(active)
                 continue
             for conn in ready:
@@ -574,15 +435,15 @@ def _server_main(
                     if not conn.poll():
                         break
             active_list = list(active)
-        release_delayed(due_only=False)
-        release_parked(due_only=False)
+        if state is not None:
+            serve_released(state.release_all())
         if event_sink is not None:
             event_sink.close()
         out_conn.send(("ok", {
             "history": history,
             "steps": steps,
             "latencies": latencies,
-            "crashed": crashed,
+            "crashed": state.crashed if state is not None else (),
             "errors": errors,
             "completed": history.completed_count,
         }))
@@ -836,7 +697,7 @@ class ProcessRuntime(Runtime):
             self._history = payload["history"]
             self._steps = payload["steps"]
             self.latencies = payload["latencies"]
-            self.crashed = tuple(payload["crashed"])
+            self.crashed = payload["crashed"]
             self.completed_count = payload.get(
                 "completed", self._history.completed_count
             )

@@ -59,37 +59,14 @@ from repro.core.auditable_register import AuditableRegister
 from repro.core.auditable_snapshot import AuditableSnapshot
 from repro.crypto.nonce import NonceSource
 from repro.crypto.pad import OneTimePadSequence
-from repro.faults import FAULT_FAMILIES, chaos_plan, parse_fault_families
-from repro.rt.process_runtime import FaultPlan, PidRef, ProcessRuntime
+from repro.faults import FaultPlan, chaos_plan, parse_fault_families
+from repro.rt.process_runtime import PidRef, ProcessRuntime
 from repro.rt.thread_runtime import DEFAULT_WATCHDOG, ThreadRuntime
 from repro.sim.event_log import JsonlEventSink, iter_event_log
 from repro.sim.history import History
 
 STRESS_OBJECTS = ("register", "max", "snapshot", "naive")
 STRESS_RUNTIMES = ("thread", "process")
-
-#: The fault families the thread runtime can inject: it has no message
-#: layer, so only crash (stop the worker thread mid-primitive) and
-#: delay (a real sleep) have a thread analogue.
-THREAD_FAULT_FAMILIES = ("crash", "delay")
-
-
-def supported_fault_families(runtime: str) -> Tuple[str, ...]:
-    """The fault families ``runtime`` can inject, in band order.
-
-    The process runtime serves primitives through a memory server, so
-    every family applies; the thread runtime supports only
-    :data:`THREAD_FAULT_FAMILIES`.
-    """
-    if runtime == "process":
-        return FAULT_FAMILIES
-    if runtime == "thread":
-        return THREAD_FAULT_FAMILIES
-    raise ValueError(
-        f"unknown stress runtime {runtime!r} "
-        f"(choose from {', '.join(STRESS_RUNTIMES)})"
-    )
-
 
 def split_threads(
     threads: int,
@@ -586,15 +563,12 @@ def run_stress(
     (``lin_ok is None``), never a crash.  ``runtime`` selects the
     backend (``thread`` or ``process``); ``faults`` injects faults at
     the primitive-arrival seam: pass a
-    :class:`~repro.rt.process_runtime.FaultPlan` directly, or a family
-    spec string (``"crash,partition,dup"`` -- chaos mode), which
-    builds a :func:`repro.faults.chaos_plan` at ``fault_rate`` total
-    faults per 10k requests, seeded from ``seed`` and rostered with
-    the run's worker pids (exact crash budget, recovery nominations).
-    The process runtime supports every family; the thread runtime
-    supports :func:`supported_fault_families` = crash and delay only
-    (family specs are validated up front, explicit plans simply have
-    their message-level decisions ignored).
+    :class:`~repro.faults.FaultPlan` directly, or a family spec
+    string (``"crash,partition,dup"`` -- chaos mode), which builds a
+    :func:`repro.faults.chaos_plan` at ``fault_rate`` total faults per
+    10k requests, seeded from ``seed`` and rostered with the run's
+    worker pids (exact crash budget, recovery nominations).  Both
+    runtimes support every family (:class:`repro.faults.FaultState`).
 
     ``online=True`` streams instead of buffering: history retention is
     disabled and every event feeds the incremental checker as it is
@@ -633,14 +607,6 @@ def run_stress(
     fault_desc: Optional[str] = None
     if isinstance(faults, str):
         families = parse_fault_families(faults)
-        allowed = supported_fault_families(runtime)
-        unsupported = [fam for fam in families if fam not in allowed]
-        if unsupported:
-            raise ValueError(
-                f"fault families {', '.join(unsupported)} require the "
-                f"process runtime; the {runtime} runtime supports "
-                f"{', '.join(allowed)}"
-            )
         roster_pids = [pid for pid, _, _ in _stress_pids(object, r, w, a)]
         faults = chaos_plan(
             families, fault_rate, seed, pids=roster_pids

@@ -28,55 +28,51 @@ Determinism is **not** preserved: interleavings come from the OS
 scheduler, so two runs of the same program may record different (both
 correct) histories.  Seeded replay remains the simulator backend's job.
 
-Fault injection: a :class:`~repro.faults.FaultPlan` may be armed on the
-runtime, consulted once per primitive *arrival* (the same seam the
-process runtime's memory server uses).  Only the fault families that
-exist without a message layer apply here -- **crash** (the worker
-thread stops, leaving its operation forever pending: exactly the
-conservative "may or may not have happened" the oracles already treat
-correctly, with the crash event recorded in the history) and **delay**
-(the worker sleeps before applying, an ordinary scheduling stall).
-Message-level families (partition/dup/omit/recover) have no thread
-analogue and are ignored if a plan emits them; ``repro stress``
-rejects them up front for this runtime.
+Fault injection: a :class:`~repro.faults.FaultPlan` armed on the
+runtime is interpreted by :class:`~repro.faults.FaultState`, the same
+machine the process runtime's memory server runs, once per primitive
+arrival under a fault lock, with the arrival count as its clock.  The
+runtime only executes the machine's actions: a held thread waits on
+the fault lock's condition, a crashed one waits for a recover or dead
+verdict, an omitted one abandons its operation, and a duplicate is
+re-applied under its object lock.  Once every unfinished thread is
+held or awaiting a verdict nothing else can arrive, so everything held
+is released (or, with nothing held, the crashed stay dead).  With no
+plan the per-primitive path takes no fault lock at all.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
+import traceback
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults import FaultPlan
+from repro.faults import CRASH, HOLD, OMIT, FaultPlan, FaultState
 from repro.rt.base import Runtime
 from repro.sim.history import History
 from repro.sim.process import Op
 from repro.sim.runner import drive_op
-from repro.sim.scheduler import CrashDecision, DelayDecision
 
 #: Default seconds granted past any --duration before a stuck thread is
 #: declared hung and surfaced instead of joined forever.
 DEFAULT_WATCHDOG = 60.0
 
-#: Injected delays are real sleeps; one "step" of server-style delay
-#: becomes this many seconds, capped so chaos plans cannot stall a
-#: bounded stress run indefinitely.
-DELAY_STEP_SECONDS = 0.001
-MAX_DELAY_SECONDS = 0.1
-
 
 class _CrashFault(BaseException):
-    """Internal: stop this worker thread at the current primitive.
+    """Internal: a crashed worker stays dead; stop its thread.
 
-    Deliberately a ``BaseException`` so no handler inside an operation
-    generator can swallow it; the driving loop catches it by name and
-    stops the thread *without* reporting an error — the crash is a
-    scheduled fault, already recorded in the history.
+    The crash is a scheduled fault, already recorded in the history, so
+    the driving loop stops the thread *without* reporting an error.
     """
 
-    def __init__(self, pid: str) -> None:
-        super().__init__(pid)
-        self.pid = pid
+
+class _Abandoned(BaseException):
+    """Internal: the in-flight operation is abandoned (omitted, or
+    crashed and then recovered); it stays pending and the thread moves
+    on to its next operation."""
 
 
 class ThreadProcess:
@@ -160,15 +156,15 @@ class ThreadRuntime(Runtime):
         self._errors: List[Tuple[str, BaseException]] = []
         self._err_lock = threading.Lock()
         self.faults = faults
-        # The fault lock serialises (arrival index, plan.decide) so the
-        # plan sees a totally-ordered arrival sequence, mirroring the
-        # single-threaded memory server.  Scripted plans may mutate
-        # internal state in decide(), so the call stays under the lock.
-        self._fault_lock = threading.Lock()
-        self._arrivals = 0
-        self._doomed: set = set()
+        # The fault lock serialises every call into the fault machine,
+        # so it sees one totally-ordered arrival sequence, as at the
+        # single-threaded memory server; held and crashed threads wait
+        # on its condition.
+        self._fault_state = FaultState(faults) if faults is not None else None
+        self._fault_cond = threading.Condition()
+        self._unfinished = 0
         #: Pids crashed by fault injection, in crash order.
-        self.crashed: List[str] = []
+        self.crashed: Tuple[str, ...] = ()
 
     # -- the runtime interface --------------------------------------------
 
@@ -218,6 +214,7 @@ class ThreadRuntime(Runtime):
         if not procs:
             return self._history
         self._stop.clear()
+        self._unfinished = len(procs)
         # All threads block on the barrier until everyone is spawned, so
         # the measured window contains no thread start-up skew and the
         # deadline is shared by construction.
@@ -246,20 +243,18 @@ class ThreadRuntime(Runtime):
                 thread.join()
             else:
                 thread.join(max(0.1, deadline - time.monotonic()))
-        stuck = sorted(
-            thread.name.removeprefix("rt-")
-            for thread in threads
-            if thread.is_alive()
-        )
+        stuck = [thread for thread in threads if thread.is_alive()]
         self.elapsed = time.perf_counter() - started
         if stuck:
             # Daemon threads: the interpreter can still exit.  Ask the
-            # survivors to stop and surface who is hung rather than
-            # blocking the harness forever.
+            # survivors to stop and surface who is hung, and where,
+            # rather than blocking the harness forever.
             self._stop.set()
+            frames = sys._current_frames()
             raise RuntimeError(
-                f"thread runtime: thread(s) {stuck} still running "
-                f"{watchdog:.0f}s past the deadline; likely deadlocked"
+                f"thread runtime: {len(stuck)} thread(s) still running "
+                f"{watchdog:g}s past the deadline:"
+                + "".join(self._describe_stuck(t, frames) for t in stuck)
             )
         if self._errors:
             pid, first = self._errors[0]
@@ -301,11 +296,14 @@ class ThreadRuntime(Runtime):
                 op = process._take_next_op()
                 if op is None:
                     break
-                self._run_op(process, op, local_latencies)
+                try:
+                    self._run_op(process, op, local_latencies)
+                except _Abandoned:
+                    pass
         except _CrashFault:
-            # Injected crash: the in-flight operation stays pending
-            # (recorded as a crash event), the thread stops cleanly,
-            # and the run is *not* an error.
+            # Injected crash, and no recovery came: the in-flight
+            # operation stays pending (recorded as a crash event), the
+            # thread stops cleanly, and the run is *not* an error.
             pass
         except BaseException as exc:  # noqa: BLE001 - reported at join
             with self._err_lock:
@@ -314,6 +312,10 @@ class ThreadRuntime(Runtime):
         finally:
             with self._err_lock:
                 self.latencies.extend(local_latencies)
+            if self._fault_state is not None:
+                with self._fault_cond:
+                    self._unfinished -= 1
+                    self._settle()
 
     def _run_op(
         self,
@@ -329,8 +331,6 @@ class ThreadRuntime(Runtime):
             self._history.record_invocation(pid, op_id, op.name, op.args)
 
         def apply_locked(pending):
-            if self.faults is not None:
-                self._consult_faults(pid, op_id, pending)
             with self._lock_for(pending.obj):
                 result = pending.obj.apply(pending.primitive, pending.args)
                 with self._hist_lock:
@@ -345,43 +345,87 @@ class ThreadRuntime(Runtime):
                     self._steps += 1
             return result
 
-        result = drive_op(pid, op, apply_locked)
+        apply = apply_locked
+        if self._fault_state is not None:
+            apply = partial(self._apply_faulted, pid, op_id, apply_locked)
+        result = drive_op(pid, op, apply)
         with self._hist_lock:
             self._history.record_response(pid, op_id, op.name, result)
         if self.record_latency:
             latencies.append((pid, op.name, time.perf_counter() - start))
 
-    def _consult_faults(self, pid: str, op_id: int, pending: Any) -> None:
-        """One primitive arrival through the fault plan.
+    def _apply_faulted(
+        self, pid: str, op_id: int, apply_locked: Callable, pending: Any
+    ) -> Any:
+        """One primitive arrival through the fault machine.
 
-        Crash of the requester raises :class:`_CrashFault` after
-        recording the crash event; crash naming another pid dooms it at
-        *its* next primitive (matching the memory server); delay is a
-        bounded real sleep.  Message-level decisions (partition, dup,
-        omit, recover) have no thread seam and are ignored.
+        Applies the primitive with ``apply_locked`` once the machine
+        lets it; raises :class:`_Abandoned` on omit (or on a crash later
+        recovered) and :class:`_CrashFault` on a crash that stays dead.
+        Lock order: fault lock, then object lock, then history lock.
         """
-        with self._fault_lock:
-            self._arrivals += 1
-            if pid in self._doomed:
-                self._doomed.discard(pid)
-                decision: Any = CrashDecision(pid)
-            else:
-                decision = self.faults.decide(
-                    self._arrivals, pid, pending.obj.name, pending.primitive
-                )
-            if isinstance(decision, CrashDecision) and decision.pid != pid:
-                self._doomed.add(decision.pid)
-                decision = None
-        if isinstance(decision, CrashDecision):
-            with self._hist_lock:
-                self._history.record_crash(pid, op_id)
-                self.crashed.append(pid)
-            raise _CrashFault(pid)
-        if isinstance(decision, DelayDecision):
-            time.sleep(min(
-                DELAY_STEP_SECONDS * max(1, decision.steps),
-                MAX_DELAY_SECONDS,
-            ))
+        state = self._fault_state
+        slot: List[str] = []
+        with self._fault_cond:
+            action, effect = state.arrive(
+                pid, pending.obj.name, pending.primitive, item=slot
+            )
+            if action == CRASH:
+                self.crashed = state.crashed
+                with self._hist_lock:
+                    self._history.record_crash(pid, op_id)
+            if effect is not None and effect[0] == "dup":
+                effect[2]()  # the victim's last application, again
+            elif effect is not None:
+                self._wake([effect[1:]], "recover")
+            self._wake(state.release(state.arrivals), "go")
+            if action in (CRASH, HOLD):
+                self._settle()
+                while not slot:
+                    self._fault_cond.wait()
+        if action == OMIT or slot == ["recover"]:
+            raise _Abandoned()
+        if slot == ["dead"]:
+            raise _CrashFault()
+        result = apply_locked(pending)
+        with self._fault_cond:
+            # A duplicate replays exactly this call: the same primitive,
+            # recorded under the same operation.
+            state.applied(pid, partial(apply_locked, pending))
+        return result
+
+    def _wake(self, released: List[Tuple[str, Any]], verdict: str) -> None:
+        """Hand ``verdict`` to the waiting threads whose ``(pid, slot)``
+        pairs the machine handed back (fault lock held)."""
+        if released:
+            for _, slot in released:
+                slot.append(verdict)
+            self._fault_cond.notify_all()
+
+    def _settle(self) -> None:
+        """The idle rule, under the fault lock: once every unfinished
+        thread is held or awaiting a verdict, nothing else can arrive,
+        so release everything held, or with nothing held, tell the
+        crashed they stay dead."""
+        state = self._fault_state
+        if state.held + state.awaiting < self._unfinished:
+            return
+        if state.held:
+            self._wake(state.release_all(), "go")
+        else:
+            self._wake(state.bury(), "dead")
+
+    def _describe_stuck(self, thread: threading.Thread, frames) -> str:
+        """One stuck thread: its pid, fault state and innermost frames."""
+        pid = thread.name.removeprefix("rt-")
+        state = self._fault_state
+        status = "running" if state is None else state.status(pid)
+        frame = frames.get(thread.ident)
+        stack = traceback.extract_stack(frame)[-4:] if frame else []
+        calls = " <- ".join(
+            f"{f.name} ({f.filename}:{f.lineno})" for f in reversed(stack)
+        )
+        return f"\n  {pid} [{status}]: {calls}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

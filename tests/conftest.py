@@ -10,6 +10,8 @@ from repro import (
     RandomSchedule,
     Simulation,
 )
+from repro.faults import ScriptedFaultPlan
+from repro.sim.scheduler import CrashDecision, DelayDecision, RecoverDecision
 
 
 @pytest.fixture
@@ -61,3 +63,15 @@ def run_sequentially(sim, pid, ops):
     sim.add_program(pid, ops)
     sim.run_process(pid)
     return sim.history.operations(pid=pid)[-1].result
+
+
+def crash_then_recover_plan(victim="p", other="q"):
+    """``victim`` crashes at its first request and ``other``'s second
+    request recovers it.  ``other``'s first request is held until the
+    run would idle, so ``other`` is still running when ``victim``
+    crashes, whichever worker arrives first."""
+    return ScriptedFaultPlan(match=[
+        ((other, None, None), DelayDecision(other, steps=10**6)),
+        ((victim, None, None), CrashDecision(victim)),
+        ((other, None, None), RecoverDecision(victim)),
+    ])

@@ -343,16 +343,17 @@ class TestExecutorEquivalence:
         stress = executor_for("stress")
         with pytest.raises(SpecError, match="bounded"):
             stress.validate_point({"object": "register", "ops": 0})
-        with pytest.raises(SpecError, match="partition"):
+        with pytest.raises(SpecError, match="wat"):
             stress.validate_point({
                 "object": "register", "runtime": "thread",
+                "faults": "wat", "ops": 4,
+            })
+        # Every family is fine on either runtime.
+        for runtime in ("thread", "process"):
+            stress.validate_point({
+                "object": "register", "runtime": runtime,
                 "faults": "partition", "ops": 4,
             })
-        # The same families are fine on the process runtime.
-        stress.validate_point({
-            "object": "register", "runtime": "process",
-            "faults": "partition", "ops": 4,
-        })
 
 
 # -- running specs: byte-identity, resume, exit codes ----------------------

@@ -103,7 +103,7 @@ CONTRACT = [
     ("fuzz missing replay file",
      ["fuzz", "--replay", "/nonexistent/trace.json"], 2),
     ("stress unsupported fault family",
-     ["stress", "--runtime", "thread", "--faults", "partition",
+     ["stress", "--runtime", "thread", "--faults", "wat",
       "--ops", "4"], 2),
     ("serve missing file", ["serve", "/nonexistent/events.jsonl"], 2),
     ("lin missing file", ["lin", "/nonexistent/histories.jsonl"], 2),

@@ -5,7 +5,9 @@ Fault *plans* at the memory-server seam are covered in
 layer down — the simulator's partition/duplicate/omit/recover
 machinery that the fuzzer's recorder, lenient replayer and shrinker
 all build on — plus the ``chaos_plan`` builder behind
-``repro stress --faults``.
+``repro stress --faults`` and, with no threads or processes, the
+arrival-level :class:`~repro.faults.FaultState` both real runtimes
+execute (its cases mirror the simulator's).
 
 See DESIGN.md section 11 for the per-family soundness argument.
 """
@@ -15,7 +17,13 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import (
+    APPLY,
+    CRASH,
     FAULT_FAMILIES,
+    HOLD,
+    OMIT,
+    FaultState,
+    ScriptedFaultPlan,
     SeededFaultPlan,
     chaos_plan,
     parse_fault_families,
@@ -26,6 +34,7 @@ from repro.sim.process import Op
 from repro.sim.runner import Simulation
 from repro.sim.scheduler import (
     CrashDecision,
+    DelayDecision,
     DuplicateDecision,
     OmitDecision,
     PartitionDecision,
@@ -242,3 +251,98 @@ def test_omit_of_an_idle_process_is_rejected():
     sim, _ = _sim_with_readers(("p", 1))
     with pytest.raises(ValueError, match="no in-flight operation"):
         sim.omit("p")
+
+
+# -- the arrival-level machine (no threads, no processes) ---------------------
+
+
+def _machine(decisions):
+    return FaultState(ScriptedFaultPlan(decisions))
+
+
+def test_machine_applies_when_the_plan_is_silent():
+    state = _machine({})
+    assert state.arrive("p", "m", "read", item="x") == (APPLY, None)
+    assert state.arrivals == 1
+    assert state.held == state.awaiting == 0
+
+
+def test_machine_partitions_extend_never_shorten():
+    state = _machine({
+        1: PartitionDecision(("p",), steps=4),
+        2: PartitionDecision(("p",), steps=1),
+    })
+    assert state.arrive("q", "m", "read", now=10)[0] == APPLY
+    # The shorter re-partition must not pull the heal mark (14) in.
+    assert state.arrive("q", "m", "read", now=11)[0] == APPLY
+    assert state.arrive("p", "m", "read", now=14, item="p1")[0] == HOLD
+    assert state.release(14) == []
+    assert state.status("p") == "held"
+
+
+def test_machine_partition_heals_when_now_passes_the_mark():
+    state = _machine({1: PartitionDecision(("p",), steps=2)})
+    assert state.arrive("p", "m", "read", now=5, item="p1")[0] == HOLD
+    assert state.release(7) == []
+    assert state.release(8) == [("p", "p1")]
+    # Healed: p's next arrival applies.
+    assert state.arrive("p", "m", "read", now=9)[0] == APPLY
+
+
+def test_machine_release_all_heals_everything_on_idle():
+    state = _machine({1: PartitionDecision(("p", "q"), steps=1000)})
+    assert state.arrive("p", "m", "read", item="p1")[0] == HOLD
+    assert state.arrive("q", "m", "read", item="q1")[0] == HOLD
+    assert state.release_all() == [("p", "p1"), ("q", "q1")]
+    assert state.arrive("p", "m", "read")[0] == APPLY
+
+
+def test_machine_delay_releases_when_due():
+    state = _machine({1: DelayDecision("p", steps=2)})
+    assert state.arrive("p", "m", "read", item="p1")[0] == HOLD
+    assert state.arrive("q", "m", "read")[0] == APPLY
+    assert state.release(state.arrivals) == []
+    assert state.arrive("q", "m", "read")[0] == APPLY
+    assert state.release(state.arrivals) == [("p", "p1")]
+    assert state.held == 0
+
+
+def test_machine_doomed_pid_crashes_at_its_next_arrival():
+    state = _machine({1: CrashDecision("q")})
+    assert state.arrive("p", "m", "read") == (APPLY, None)
+    assert state.crashed == ()
+    assert state.arrive("p", "m", "read")[0] == APPLY
+    assert state.arrive("q", "m", "read", item="q1") == (CRASH, None)
+    assert state.crashed == ("q",)
+    assert state.status("q") == "awaiting verdict"
+    assert state.bury() == [("q", "q1")]
+    assert state.awaiting == 0
+
+
+def test_machine_omit_acts_only_on_the_requester():
+    state = _machine({1: OmitDecision("q"), 2: OmitDecision("p")})
+    assert state.arrive("p", "m", "read")[0] == APPLY
+    assert state.arrive("p", "m", "read") == (OMIT, None)
+
+
+def test_machine_dup_with_nothing_applied_is_a_noop():
+    state = _machine({1: DuplicateDecision("p"), 3: DuplicateDecision("p")})
+    assert state.arrive("q", "m", "read") == (APPLY, None)
+    state.applied("p", ("entry",))
+    assert state.arrive("q", "m", "read") == (APPLY, None)
+    assert state.arrive("q", "m", "read") == (APPLY, ("dup", "p", ("entry",)))
+
+
+def test_machine_recover_of_a_live_pid_is_ignored():
+    state = _machine({
+        1: RecoverDecision("p"),
+        2: CrashDecision("p"),
+        3: RecoverDecision("p"),
+    })
+    assert state.arrive("q", "m", "read") == (APPLY, None)
+    assert state.arrive("p", "m", "read", item="p1") == (CRASH, None)
+    assert state.arrive("q", "m", "read") == (
+        APPLY, ("recover", "p", "p1")
+    )
+    assert state.awaiting == 0
+    assert state.bury() == []

@@ -6,6 +6,8 @@ tests pin the backend's own machinery: name-based object resolution
 program API and its pickling constraints, error propagation across the
 process boundary, crash/delay bookkeeping, and the stress harness's
 ``runtime="process"`` path being validated by the unchanged oracles.
+The memory server's fault-family cases also run on the thread runtime,
+which executes the same :class:`repro.faults.FaultState`.
 
 Every builder/factory here is module-level: the process runtime ships
 them to workers by name, so a closure would fail under the spawn start
@@ -31,6 +33,7 @@ from repro.rt import (
     Runtime,
     ScriptedFaultPlan,
     SeededFaultPlan,
+    ThreadRuntime,
     make_runtime,
     run_stress,
 )
@@ -44,6 +47,7 @@ from repro.sim.scheduler import (
     PartitionDecision,
     RecoverDecision,
 )
+from tests.conftest import crash_then_recover_plan
 
 _START_METHODS = [
     method
@@ -435,6 +439,95 @@ def test_match_rule_crashes_on_meaning_not_arrival_index():
     assert len(by_q) == 3
 
 
+# -- the same fault families on both runtimes --------------------------------
+
+
+def _run_reads(kind, plan, reads):
+    """Each pid in ``reads`` performs that many reads of one main
+    register, on ``kind`` (``process`` or ``thread``) under ``plan``."""
+    if kind == "process":
+        rt = ProcessRuntime(_build_main, faults=plan)
+        for pid, n in reads.items():
+            rt.add_program_factory(pid, _read_factory, args=(n,))
+    else:
+        rt = ThreadRuntime(record_latency=False, faults=plan)
+        main = _build_main()
+        for pid, n in reads.items():
+            rt.add_program(pid, _read_factory(main, pid, n))
+    return rt, rt.run()
+
+
+RUNTIMES = ["process", "thread"]
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_omit_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind, ScriptedFaultPlan({2: OmitDecision("p")}), {"p": 3}
+    )
+    assert len(history.complete_operations(name="read")) == 2
+    assert [op.pid for op in history.pending_operations()] == ["p"]
+    assert rt.steps_taken == 2
+    assert rt.crashed == ()
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_dup_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind, ScriptedFaultPlan({2: DuplicateDecision("p")}), {"p": 2}
+    )
+    assert len(history.complete_operations(name="read")) == 2
+    assert rt.steps_taken == 3
+    events = history.primitive_events(pid="p")
+    assert [event.op_id for event in events] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_partition_heals_on_idle_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind,
+        ScriptedFaultPlan({1: PartitionDecision(("p",), steps=50)}),
+        {"p": 2},
+    )
+    assert len(history.complete_operations(name="read")) == 2
+    assert not history.pending_operations()
+    assert rt.steps_taken == 2
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_recover_of_a_live_process_is_ignored_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind, ScriptedFaultPlan({1: RecoverDecision("p")}), {"p": 2}
+    )
+    assert len(history.complete_operations(name="read")) == 2
+    assert rt.crashed == ()
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_crash_then_recover_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind, crash_then_recover_plan(), {"p": 3, "q": 30}
+    )
+    assert rt.crashed == ("p",)
+    pending = history.pending_operations()
+    assert [(op.pid, op.op_id) for op in pending] == [("p", 0)]
+    by_p = [op for op in history.complete_operations() if op.pid == "p"]
+    assert sorted(op.op_id for op in by_p) == [1, 2]
+    by_q = [op for op in history.complete_operations() if op.pid == "q"]
+    assert len(by_q) == 30
+
+
+@pytest.mark.parametrize("kind", RUNTIMES)
+def test_crash_of_another_pid_on_both_runtimes(kind):
+    rt, history = _run_reads(
+        kind, ScriptedFaultPlan({1: CrashDecision("q")}), {"p": 4, "q": 4}
+    )
+    assert rt.crashed == ("q",)
+    assert {op.pid for op in history.pending_operations()} == {"q"}
+    by_p = [op for op in history.complete_operations() if op.pid == "p"]
+    assert len(by_p) == 4
+
+
 # -- fault determinism across start methods ------------------------------------
 
 
@@ -530,20 +623,20 @@ def test_process_stress_crash_fault_keeps_audit_exactness():
     assert check_audit_exactness(history, replica) == []
 
 
-def test_thread_stress_takes_crash_plans_but_not_message_families():
-    # The thread runtime now injects crash/delay at the primitive
-    # arrival point (tests/test_thread_faults.py); message-seam
-    # families still require the memory server.
+def test_thread_stress_takes_crash_plans_and_message_families():
+    # The thread runtime runs the memory server's fault machine
+    # (repro.faults.FaultState), so every family is accepted on it.
     report = run_stress(
         "register", threads=2, ops=2,
         faults=ScriptedFaultPlan({1: CrashDecision("w0")}),
         record_latency=False,
     )
     assert report.ok
-    with pytest.raises(ValueError, match="process runtime"):
-        run_stress(
-            "register", threads=2, ops=2, faults="partition,omit",
-        )
+    report = run_stress(
+        "register", threads=2, ops=2, faults="partition,omit",
+        record_latency=False,
+    )
+    assert report.ok
 
 
 def test_pid_ref_is_a_minimal_handle():

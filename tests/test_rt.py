@@ -127,6 +127,30 @@ def test_thread_runtime_watchdog_surfaces_stuck_pid():
         release.set()  # let the daemon thread exit cleanly
 
 
+def test_thread_runtime_watchdog_reports_where_stuck_threads_wait():
+    """The watchdog error names each stuck pid with its fault state and
+    innermost frames, so a slow op reads differently from a deadlock."""
+    from repro.sim.process import Op
+
+    release = threading.Event()
+
+    def wait_for_release():
+        release.wait()
+        return "late"
+        yield  # pragma: no cover - makes this a generator function
+
+    rt = ThreadRuntime(join_watchdog=0.2)
+    rt.add_program("blocked", [Op("stuck", wait_for_release)])
+    try:
+        with pytest.raises(RuntimeError) as info:
+            rt.run()
+    finally:
+        release.set()  # let the daemon thread exit cleanly
+    message = str(info.value)
+    assert "blocked [running]" in message
+    assert "wait_for_release" in message
+
+
 def test_thread_runtime_propagates_worker_errors():
     from repro.sim.process import Op
 

@@ -14,7 +14,11 @@ scripted crash at the memory server must truncate the history at
 exactly the same event the fault names (everything before it identical
 to the fault-free run), and a scripted delay must be a pure no-op (the
 server's flush-on-idle releases a held request the moment no other
-message can overtake it).
+message can overtake it).  The thread runtime and the memory server run
+the same fault machine (:class:`repro.faults.FaultState`), so with one
+worker each fault family leaves the same history on all three
+backends, the simulator taking the decision through
+``Simulation.inject``.
 
 Builders and program factories are module-level so the process backend
 can ship them across the fork/spawn boundary by name; the sim and
@@ -49,7 +53,15 @@ from repro.rt import (
 )
 from repro.sim.events import CrashEvent
 from repro.sim.process import Op
-from repro.sim.scheduler import CrashDecision, DelayDecision
+from repro.sim.runner import Simulation
+from repro.sim.scheduler import (
+    CrashDecision,
+    DelayDecision,
+    DuplicateDecision,
+    OmitDecision,
+    PartitionDecision,
+)
+from tests.conftest import crash_then_recover_plan
 
 
 def _eq_build(seed=0):
@@ -151,6 +163,89 @@ def test_scripted_delay_is_a_no_op_for_a_single_process():
         faults=ScriptedFaultPlan({3: DelayDecision("p", steps=50)}),
     )
     assert list(clean) == list(delayed)
+
+
+#: One decision per family, taken at the k-th primitive arrival.
+_FAULT_AT = 5
+_FAMILY_DECISIONS = {
+    "crash": CrashDecision("p"),
+    "delay": DelayDecision("p", steps=50),
+    "partition": PartitionDecision(("p",), steps=50),
+    "dup": DuplicateDecision("p"),
+    "omit": OmitDecision("p"),
+}
+
+
+def _sim_with_fault(decision, k, seed=0):
+    """The simulator's single-process run with ``decision`` injected
+    just before the step that applies the k-th primitive."""
+    sim = Simulation()
+    sim.add_program("p", _eq_program_factory(_eq_build(seed), "p", seed))
+    process = sim.processes["p"]
+    while not (
+        len(sim.history.primitive_events()) == k - 1
+        and process.pending is not None
+    ):
+        assert sim.step()
+    sim.inject(decision)
+    return sim.run()
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_DECISIONS))
+def test_single_worker_fault_histories_identical(family):
+    """One worker, one fault at the k-th primitive arrival: sim, thread
+    and process histories coincide event for event."""
+    decision = _FAMILY_DECISIONS[family]
+    sim_history = _sim_with_fault(decision, _FAULT_AT)
+    plan = ScriptedFaultPlan({_FAULT_AT: decision})
+    _, _, _, proc_history = _run_backend("process", faults=plan)
+    thread = ThreadRuntime(faults=ScriptedFaultPlan({_FAULT_AT: decision}))
+    thread.add_program("p", _eq_program_factory(_eq_build(), "p"))
+    thread_history = thread.run()
+    assert list(sim_history) == list(thread_history) == list(proc_history)
+    _, _, _, clean = _run_backend("sim")
+    if family in ("delay", "partition"):
+        assert list(sim_history) == list(clean)
+    else:
+        assert list(sim_history) != list(clean)
+
+
+def _reads_build():
+    return MainRegister("m", RWord(0, "init", 0))
+
+
+def _reads_factory(main, pid, n):
+    def read_gen():
+        word = yield from main.read()
+        return word.val
+
+    return [Op("read", read_gen) for _ in range(n)]
+
+
+def test_crash_then_recover_matches_on_thread_and_process():
+    """Two workers, p crashed and later recovered by q's arrival: both
+    real runtimes leave the same pending operation and the same
+    completed op ids."""
+    outcomes = {}
+    for kind in ("thread", "process"):
+        plan = crash_then_recover_plan()
+        if kind == "process":
+            rt = ProcessRuntime(_reads_build, faults=plan)
+            for pid in ("p", "q"):
+                rt.add_program_factory(pid, _reads_factory, args=(4,))
+        else:
+            rt = ThreadRuntime(faults=plan)
+            main = _reads_build()
+            for pid in ("p", "q"):
+                rt.add_program(pid, _reads_factory(main, pid, 4))
+        history = rt.run()
+        outcomes[kind] = (
+            rt.crashed,
+            sorted((op.pid, op.op_id) for op in history.pending_operations()),
+            sorted((op.pid, op.op_id) for op in history.complete_operations()),
+        )
+    assert outcomes["thread"] == outcomes["process"]
+    assert outcomes["thread"][:2] == (("p",), [("p", 0)])
 
 
 # -- primitive-level property tests ------------------------------------------

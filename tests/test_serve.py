@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.fastlin import LIN_OK, check_history
 from repro.analysis.specs import stream_register_spec
 from repro.analysis.streamlin import LIN_PARTIAL
-from repro.rt.process_runtime import CrashDecision, ScriptedFaultPlan
+from repro.faults import ScriptedFaultPlan
 from repro.rt.serve import (
     ServeOutcome,
     VerdictServer,
@@ -25,6 +25,7 @@ from repro.rt.serve import (
 )
 from repro.rt.stress import run_stress
 from repro.sim.event_log import PROTOCOL_VERSION, load_event_log
+from repro.sim.scheduler import CrashDecision
 
 
 @pytest.fixture(scope="module")

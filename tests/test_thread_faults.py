@@ -1,12 +1,13 @@
 """Fault injection on the thread runtime.
 
-The thread runtime has no message seam (threads touch shared objects
-under per-object locks), so only the families that make sense at the
-primitive-arrival point are supported: ``crash`` (the arriving thread
-stops, its operation stays pending forever) and ``delay`` (the arrival
-sleeps, widening real interleavings).  The arrival sequence is
-serialised under a dedicated lock so fault plans see the same
-totally-ordered view the single-threaded memory server provides.
+The thread runtime runs every primitive arrival through
+:class:`~repro.faults.FaultState`, the interpreter the memory server
+runs, under a dedicated lock, so fault plans see the same
+totally-ordered view the single-threaded memory server provides and
+every family means the same thing on both backends: a crashed thread
+awaits a recover or dead verdict, an omitted operation is abandoned,
+held (delayed or partitioned) threads wait, and a duplicate is
+re-applied under its object lock.
 
 The safety claim mirrors the process runtime's: whatever the faults do,
 the surviving history must still pass linearizability and audit
@@ -21,14 +22,15 @@ from repro.analysis import (
     check_history,
     tag_reads,
 )
+from repro.core.auditable_register import AuditableRegister
 from repro.faults import FAULT_FAMILIES, ScriptedFaultPlan, chaos_plan
-from repro.rt import ThreadRuntime, run_stress
-from repro.rt.stress import THREAD_FAULT_FAMILIES, supported_fault_families
+from repro.rt import ThreadRuntime, make_runtime, run_stress
+from repro.rt.process_runtime import PidRef
 from repro.sim.history import CrashEvent
 from repro.sim.scheduler import (
     CrashDecision,
     DelayDecision,
-    OmitDecision,
+    DuplicateDecision,
 )
 from repro.workloads.generators import (
     RegisterWorkload,
@@ -58,21 +60,19 @@ def surviving_history_is_safe(built, history, workload):
 
 class TestFamilyVocabulary:
     def test_per_runtime_families(self):
-        assert supported_fault_families("process") == FAULT_FAMILIES
-        assert supported_fault_families("thread") == THREAD_FAULT_FAMILIES
-        assert THREAD_FAULT_FAMILIES == ("crash", "delay")
+        # Both runtimes interpret every family with the same machine.
+        spec = ",".join(FAULT_FAMILIES)
+        for runtime in ("thread", "process"):
+            report = run_stress(
+                "register", threads=2, ops=2, runtime=runtime,
+                faults=spec, fault_rate=0, record_latency=False,
+            )
+            assert report.faults == f"{spec}@0/10k"
+            assert report.ok
 
     def test_unknown_runtime_rejected(self):
         with pytest.raises(ValueError, match="unknown stress runtime"):
-            supported_fault_families("fiber")
-
-    def test_run_stress_rejects_message_families_on_thread(self):
-        for family in ("partition", "dup", "omit", "recover"):
-            with pytest.raises(ValueError, match="process runtime"):
-                run_stress(
-                    "register", threads=3, ops=4, runtime="thread",
-                    faults=family, record_latency=False,
-                )
+            run_stress("register", threads=2, ops=2, runtime="fiber")
 
 
 class TestScriptedCrash:
@@ -81,7 +81,7 @@ class TestScriptedCrash:
             match=[(("r0", None, None), CrashDecision("r0"))]
         )
         runtime, built, history, workload = run_workload(plan)
-        assert runtime.crashed == ["r0"]
+        assert runtime.crashed == ("r0",)
         pending = history.pending_operations()
         assert {op.pid for op in pending} == {"r0"}
         # The crash itself is a recorded event, replayable downstream.
@@ -97,7 +97,7 @@ class TestScriptedCrash:
             match=[((None, None, None), CrashDecision("w0"))]
         )
         runtime, built, history, workload = run_workload(plan)
-        assert runtime.crashed == ["w0"]
+        assert runtime.crashed == ("w0",)
         assert {op.pid for op in history.pending_operations()} <= {"w0"}
         surviving_history_is_safe(built, history, workload)
 
@@ -112,25 +112,50 @@ class TestScriptedCrash:
         assert all(op.response_index is None for op in mine)
 
 
+class TestMakeRuntime:
+    def test_make_runtime_arms_the_thread_runtime(self):
+        plan = ScriptedFaultPlan({1: CrashDecision("w0")})
+        runtime = make_runtime("thread", faults=plan)
+        workload = RegisterWorkload(
+            num_readers=1, num_writers=1, num_auditors=0,
+            reads_per_reader=1, writes_per_writer=2, seed=0,
+        )
+        build_register_system(workload, runtime=runtime).run()
+        assert runtime.crashed == ("w0",)
+
+
 class TestScriptedDelay:
     def test_delay_widens_but_never_loses_ops(self):
         plan = ScriptedFaultPlan({1: DelayDecision("r0", steps=3),
                                   4: DelayDecision("r0", steps=1)})
         runtime, built, history, workload = run_workload(plan)
-        assert runtime.crashed == []
+        assert runtime.crashed == ()
         assert not history.pending_operations()
         surviving_history_is_safe(built, history, workload)
 
-    def test_message_level_decisions_are_ignored(self):
-        # An explicit plan may emit message-seam decisions; the thread
-        # runtime has no messages, so they are no-ops, not errors.
+
+class TestScriptedDuplicate:
+    def test_duplicated_announce_breaks_audit_exactness(self):
+        # The crack the alg1-dup-audit fuzz target pins: re-applying a
+        # reader's announcing fetch&xor flips its bit back (XOR is an
+        # involution), so a later audit misses a completed read.
+        reg = AuditableRegister(2, initial="v0")
+        ref = PidRef("p")
         plan = ScriptedFaultPlan(
-            match=[((None, None, None), OmitDecision("r0"))]
+            match=[(("p", None, "compare_and_swap"), DuplicateDecision("p"))]
         )
-        runtime, built, history, workload = run_workload(plan)
-        assert runtime.crashed == []
-        assert not history.pending_operations()
-        surviving_history_is_safe(built, history, workload)
+        runtime = ThreadRuntime(record_latency=False, faults=plan)
+        runtime.add_program(
+            "p", [reg.reader(ref, 0).read_op(), reg.auditor(ref).audit_op()]
+        )
+        history = runtime.run()
+        fetch_xors = [
+            e for e in history.primitive_events(pid="p")
+            if e.primitive == "fetch_xor"
+        ]
+        assert len(fetch_xors) == 2
+        assert {e.op_id for e in fetch_xors} == {0}
+        assert check_audit_exactness(history, reg)
 
 
 class TestChaosOnThreads:
@@ -143,6 +168,28 @@ class TestChaosOnThreads:
         )
         assert report.lin_ok and report.audit_ok
         assert report.faults == "crash,delay@2000/10k"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_chaos_without_dup_stays_safe(self, seed):
+        # Every family but dup keeps the history linearizable.  Audit
+        # exactness is asserted for the crash-stop and postponement
+        # families only: omit and recover let a reader abandon a read
+        # after its announcing fetch&xor and then announce again for
+        # the same write, which flips its bit back off exactly like a
+        # duplicate -- on the memory server as much as here.
+        report = run_stress(
+            "register", threads=4, ops=6, seed=seed, runtime="thread",
+            faults="crash,delay,partition,omit,recover", fault_rate=2000,
+            validate=True, record_latency=False,
+        )
+        assert report.lin_ok
+        assert report.faults == "crash,delay,partition,omit,recover@2000/10k"
+        report = run_stress(
+            "register", threads=4, ops=6, seed=seed, runtime="thread",
+            faults="crash,delay,partition", fault_rate=2000,
+            validate=True, record_latency=False,
+        )
+        assert report.lin_ok and report.audit_ok
 
     def test_chaos_actually_crashes_somebody(self):
         # Statistical but deterministic: at 20% fault rate over eight
