@@ -22,8 +22,13 @@ one resumable invocation (see DESIGN.md section 12)::
     python -m repro campaign run spec.toml --workers 4 --out nightly
     python -m repro campaign example > spec.toml   # a worked template
 
-Each legacy subcommand accepts ``--print-spec`` to emit its campaign
-equivalent instead of running.
+``sweep``, ``check`` and ``stress`` run one campaign spec: their flags
+become work only through ``repro.campaign.spec_from_cli``, whose points
+run through the campaign executors (``fuzz`` feeds that spec's params
+to its batch engine).  ``--print-spec`` prints that spec instead of
+running it, so ``campaign run`` on the printed spec runs the same seeds
+to the same verdicts.  ``--smoke`` pins small fixed settings and
+refuses flags it would override.
 
 Sweep example -- 64 derived seeds per grid point, fanned out over 4
 worker processes, streamed to a resumable JSONL checkpoint::
@@ -119,33 +124,75 @@ def _overview() -> int:
     return 0
 
 
-#: Help-epilog pointer added to every subcommand that has a campaign
-#: equivalent (the deprecation path for hand-rolled CLI matrices).
+#: Help-epilog pointer added to every subcommand that runs a campaign
+#: spec.
 _CAMPAIGN_EPILOG = (
-    "This subcommand has a declarative equivalent: 'python -m repro "
-    "campaign run SPEC' runs the same work as one section of a "
-    "multi-section campaign spec (crossed axes, per-section resumable "
-    "checkpoints).  --print-spec emits this invocation's spec instead "
-    "of running it."
+    "This subcommand runs one section of a campaign spec: 'python -m "
+    "repro campaign run SPEC' runs the same points (same seeds, same "
+    "verdicts) as part of a multi-section campaign.  --print-spec "
+    "prints the spec this invocation runs instead of running it."
 )
 
 
-def _add_print_spec(parser) -> None:
+def _add_spec_flags(parser, smoke_help: str) -> None:
     parser.add_argument(
         "--print-spec", action="store_true",
-        help="print the equivalent campaign spec (TOML) and exit "
-        "instead of running (see python -m repro campaign)",
+        help="print the campaign spec (TOML) this invocation runs and "
+        "exit (see python -m repro campaign)",
     )
+    parser.add_argument("--smoke", action="store_true", help=smoke_help)
 
 
-def _maybe_print_spec(kind: str, args) -> bool:
-    """Handle ``--print-spec``: emit the synthesized campaign spec."""
-    if not getattr(args, "print_spec", False):
+def _apply_smoke(parser, args, fixed) -> bool:
+    """Pin ``--smoke``'s settings (``fixed``: dest -> value) onto
+    ``args``.  False, after naming them, when the user set one of
+    those flags: a silently overridden flag lies."""
+    # Parsed, not parser.get_default: that skips a None default, so for
+    # --validate/--no-validate (one dest) it reports --no-validate's True.
+    defaults = vars(parser.parse_args([]))
+    overridden = [
+        "--" + name.replace("_", "-")
+        for name in fixed
+        if getattr(args, name) != defaults[name]
+    ]
+    if overridden:
+        print(
+            "--smoke runs fixed settings and cannot be combined with "
+            f"{', '.join(overridden)}",
+            file=sys.stderr,
+        )
         return False
-    from repro.campaign import dumps_spec, spec_from_cli
-
-    sys.stdout.write(dumps_spec(spec_from_cli(kind, args)))
+    for name, value in fixed.items():
+        setattr(args, name, value)
     return True
+
+
+def _compiled_spec(kind: str, args):
+    """The spec the invocation runs and its compiled tasks per section,
+    or an exit code: 2 for a spec that does not compile, and for
+    ``--print-spec`` 0 after printing it (2 if a flag has no campaign
+    equivalent)."""
+    from repro.campaign import SpecError, compile_spec, dumps_spec
+    from repro.campaign.spec import cli_only_flags, spec_from_cli
+
+    try:
+        spec = spec_from_cli(kind, args)
+        compiled = compile_spec(spec)
+    except SpecError as exc:
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 2
+    if not args.print_spec:
+        return spec, compiled
+    flags = cli_only_flags(kind, args)
+    if flags:
+        print(
+            f"{kind}: --print-spec: {', '.join(flags)} has no campaign "
+            "equivalent",
+            file=sys.stderr,
+        )
+        return 2
+    sys.stdout.write(dumps_spec(spec))
+    return 0
 
 
 def _sweep(argv) -> int:
@@ -153,24 +200,18 @@ def _sweep(argv) -> int:
     import argparse
 
     from repro.campaign import EngineOptions, OutputOptions
-    from repro.engine import (
-        aggregate_counts,
-        all_clean,
-        make_tasks,
-        register_sweep_task,
-        run_tasks,
-        snapshot_sweep_task,
-    )
+    from repro.campaign.executors import EXIT_CODES
+    from repro.campaign.report import combination_rows
+    from repro.campaign.run import run_section
     from repro.harness.tables import render_table
-    from repro.workloads.sweeps import Sweep
 
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
         description="Run seeded executions of an auditable object over a "
         "parameter grid, checking linearizability and audit exactness "
         "per execution.  Seeds are derived deterministically from "
-        "--root-seed, so results depend only on the grid, never on "
-        "worker count or scheduling.",
+        "--root-seed and each grid point, so results depend only on "
+        "the grid, never on worker count or scheduling.",
         epilog=_CAMPAIGN_EPILOG,
     )
     parser.add_argument(
@@ -199,52 +240,39 @@ def _sweep(argv) -> int:
         out_help="JSONL checkpoint: one canonical record per execution; "
         "rerunning with the same file resumes an interrupted sweep",
     )
-    _add_print_spec(parser)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny serial sweep (2 seeds, one grid point) for CI",
+    _add_spec_flags(
+        parser, "tiny serial sweep (2 seeds, one grid point) for CI"
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        args.seeds, args.readers, args.writers, args.workers = 2, [1], [1], 1
-    if _maybe_print_spec("sweep", args):
-        return 0
-    workers = EngineOptions.from_args(args).resolved
+    if args.smoke and not _apply_smoke(parser, args, {
+        "seeds": 2, "readers": [1], "writers": [1], "workers": 1,
+    }):
+        return 2
+    compiled = _compiled_spec("sweep", args)
+    if isinstance(compiled, int):
+        return compiled
+    spec, _ = compiled
+    section = spec.sections[0]
     output = OutputOptions.from_args(args)
 
-    if args.object == "register":
-        grid = Sweep({"num_readers": args.readers,
-                      "num_writers": args.writers})
-        task_fn = register_sweep_task
-        check_fields = ("lin_fail", "audit_fail", "structural_fail")
-    else:
-        grid = Sweep({"substrate": ["afek", "atomic"]})
-        task_fn = snapshot_sweep_task
-        check_fields = ("lin_fail", "audit_fail")
-
-    tasks = make_tasks(
-        grid.points(), seeds_per_point=args.seeds, root_seed=args.root_seed
-    )
-
-    def progress(done, total, record):
+    def progress(done, total):
         if done % 25 == 0 or done == total:
             print(f"sweep [{done}/{total}]", file=sys.stderr, flush=True)
 
-    report = run_tasks(
-        task_fn,
-        tasks,
-        workers=workers,
+    outcome = run_section(
+        section,
+        spec.root_seed,
+        workers=EngineOptions.from_args(args).resolved,
         checkpoint=output.out,
         resume=output.resume,
         progress=progress,
     )
-
-    def point_label(record):
-        return grid.point_name(record["params"])
-
+    check_fields = ("lin_fail", "audit_fail") + (
+        ("structural_fail",) if args.object == "register" else ()
+    )
     rows = []
-    for group in aggregate_counts(report.records, key=point_label):
+    for group in combination_rows(section, outcome):
         row = {"point": group["group"], "executions": group["executions"]}
         for name in check_fields:
             row[name.replace("_", " ")] = group.get(name, 0)
@@ -252,19 +280,18 @@ def _sweep(argv) -> int:
         rows.append(row)
     print(render_table(rows))
     print()
-    clean = all_clean(report.records, check_fields)
-    mark = "PASS" if clean else "FAIL"
+    verdict = outcome.verdict
     print(
-        f"  [{mark}] {report.total} executions "
-        f"({report.executed} run, {report.skipped} resumed) in "
-        f"{report.elapsed:.2f}s with {report.workers} worker(s); "
+        f"  [{verdict}] {len(outcome.records)} executions "
+        f"({outcome.executed} run, {outcome.skipped} resumed) in "
+        f"{outcome.elapsed:.2f}s with {outcome.workers} worker(s); "
         "no linearizability or audit-exactness violations"
-        if clean
-        else f"  [{mark}] violations found -- inspect the JSONL records"
+        if verdict == "PASS"
+        else f"  [{verdict}] violations found -- inspect the JSONL records"
     )
-    if report.checkpoint:
-        print(f"  records: {report.checkpoint}")
-    return 0 if clean else 1
+    if outcome.checkpoint:
+        print(f"  records: {outcome.checkpoint}")
+    return EXIT_CODES[verdict]
 
 
 def _check(argv) -> int:
@@ -272,10 +299,9 @@ def _check(argv) -> int:
     import argparse
 
     from repro.campaign import EngineOptions, OutputOptions
+    from repro.campaign.executors import EXIT_CODES, executor_for, worst
     from repro.harness.tables import render_table
-    from repro.mc import ExplorationBudgetExceeded, explore
-    from repro.mc.parallel import explore_parallel
-    from repro.mc.scenarios import E13_SUITE, get_scenario, scenario_names
+    from repro.mc.scenarios import scenario_names
 
     parser = argparse.ArgumentParser(
         prog="python -m repro check",
@@ -331,15 +357,13 @@ def _check(argv) -> int:
         "subtree; rerunning with the same file resumes an interrupted "
         "check (implies the frontier engine even with --workers 1)",
     )
-    _add_print_spec(parser)
     parser.add_argument(
         "--frontier-depth", type=int, default=6, metavar="D",
         help="depth at which subtrees are handed to workers "
         "(default: 6)",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny serial reduced check of one scenario (for CI)",
+    _add_spec_flags(
+        parser, "tiny serial reduced check of one scenario (for CI)"
     )
     args = parser.parse_args(argv)
 
@@ -347,134 +371,84 @@ def _check(argv) -> int:
         for name in scenario_names():
             print(name)
         return 0
-
-    if args.smoke and args.scenario:
-        print(
-            "--smoke runs a fixed scenario with fixed settings and "
-            "cannot be combined with --scenario",
-            file=sys.stderr,
-        )
+    if args.smoke and not _apply_smoke(parser, args, {
+        "scenario": ["alg1-w1-r1"], "workers": 1, "out": None,
+        "compare": False, "baseline": False,
+    }):
         return 2
-    names = args.scenario or [key for _, key in E13_SUITE]
-    unknown = [name for name in names if name not in scenario_names()]
-    if unknown:
-        print(
-            f"unknown scenario(s): {', '.join(unknown)} "
-            "(see python -m repro check --list)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.smoke:
-        names = ["alg1-w1-r1"]
-        args.workers, args.out, args.compare = 1, None, False
-        args.baseline = False
-    args.scenario = names
-    if _maybe_print_spec("check", args):
-        return 0
+    compiled = _compiled_spec("check", args)
+    if isinstance(compiled, int):
+        return compiled
+    _, tasks = compiled
     output = OutputOptions.from_args(args)
-    reduce = not args.baseline
-    fingerprints = reduce and not args.no_fingerprints
-    use_engine = args.workers != 1 or output.out is not None
+    executor = executor_for("check")
+    baselines = {
+        task.kwargs["point"]["scenario"]: task
+        for task in tasks.get("baseline", ())
+    }
 
     rows = []
-    failed = partial = False
-    for name in names:
-        budget_note = None
-        baseline_report = None
-        baseline_partial = False
-        if args.compare:
-            # The baseline leg gets its own budget handling so that a
-            # too-large raw enumeration still leaves the (much
-            # smaller) reduced verification to run and be reported.
-            factory, check = get_scenario(name)()
-            try:
-                baseline_report = explore(
-                    factory, check,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=False, fingerprints=False,
-                )
-            except ExplorationBudgetExceeded as exc:
-                baseline_report = exc.report
-                baseline_partial = True
-                partial = True
+    for task in tasks["check"]:
+        name = task.kwargs["point"]["scenario"]
+        base = None
+        if name in baselines:
+            # The raw leg runs first and serially, with its own budget
+            # handling, so a too-large raw enumeration still leaves the
+            # (much smaller) reduced verification to run and report.
+            raw = baselines[name]
+            base = executor.execute(raw.seed, raw.kwargs["point"])
+            if base["budget"]:
                 print(
-                    f"  budget [{name}, baseline]: {exc}; raw "
-                    f"enumeration is partial at "
-                    f"{baseline_report.executions} executions",
+                    f"  budget [{name}, baseline]: {base['budget']}; raw "
+                    f"enumeration is partial at {base['executions']} "
+                    "executions",
                     file=sys.stderr,
                 )
-        try:
-            if use_engine:
-                out = None
-                if output.out:
-                    suffix = f".{name}" if len(names) > 1 else ""
-                    out = output.out + suffix
-                report = explore_parallel(
-                    name,
-                    workers=args.workers or None,
-                    frontier_depth=args.frontier_depth,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=reduce, fingerprints=fingerprints,
-                    checkpoint=out, resume=output.resume,
-                )
-            else:
-                factory, check = get_scenario(name)()
-                report = explore(
-                    factory, check,
-                    max_executions=args.max_executions,
-                    max_depth=args.max_depth,
-                    reduce=reduce, fingerprints=fingerprints,
-                )
-        except ExplorationBudgetExceeded as exc:
-            report = exc.report
-            budget_note = str(exc)
-            partial = True
+        checkpoint = output.out
+        if checkpoint and len(tasks["check"]) > 1:
+            checkpoint += f".{name}"
+        result = executor.execute(
+            task.seed, task.kwargs["point"],
+            workers=args.workers,
+            frontier_depth=args.frontier_depth,
+            checkpoint=checkpoint,
+            resume=output.resume,
+        )
         row = {
             "scenario": name,
-            "explored": report.executions,
-            "states": report.distinct_states,
-            "violations": len(report.violations),
+            "explored": result["executions"],
+            "states": result["distinct_states"],
+            "violations": result["violation_count"],
         }
-        if args.compare:
+        verdict = result["verdict"]
+        if base is not None:
             # Keys must exist on every row (the table derives its
             # columns from the first one), including PARTIAL rows.
-            complete = baseline_report is not None and not baseline_partial
+            complete = not base["budget"]
             row["baseline"] = (
-                f"{baseline_report.executions}"
-                + ("+" if baseline_partial else "")
-                if baseline_report is not None else "-"
+                f"{base['executions']}" + ("" if complete else "+")
             )
             row["reduction"] = (
-                f"{baseline_report.executions / report.executions:.1f}x"
-                if complete and report.executions else "-"
+                f"{base['executions'] / result['executions']:.1f}x"
+                if complete and result["executions"] else "-"
             )
-            if complete and baseline_report.verdicts != report.verdicts:
-                failed = True
-                row["verdict"] = "MISMATCH"
-        if "verdict" not in row:
-            # A proven violation outranks an exhausted budget: partial
-            # coverage that already found a bug is a FAIL, not merely
-            # inconclusive.
-            row["verdict"] = (
-                "FAIL" if report.violations
-                else ("PARTIAL" if budget_note or baseline_partial
-                      else "PASS")
-            )
+            if complete and base["verdicts"] != result["verdicts"]:
+                verdict = "MISMATCH"
+            elif not complete:
+                verdict = worst([verdict, "PARTIAL"])
+        row["verdict"] = verdict
         rows.append(row)
-        if report.violations:
-            failed = True
-            for violation in report.violations[:5]:
-                print(f"  violation [{name}]: {violation}", file=sys.stderr)
-        if budget_note:
-            print(f"  budget [{name}]: {budget_note}; partial report "
-                  f"covers {report.executions} executions",
+        for violation in result["violations"]:
+            print(f"  violation [{name}]: {violation}", file=sys.stderr)
+        if result["budget"]:
+            print(f"  budget [{name}]: {result['budget']}; partial report "
+                  f"covers {result['executions']} executions",
                   file=sys.stderr)
     print(render_table(rows))
-    if failed:
-        return 1
-    return 2 if partial else 0
+    return EXIT_CODES[worst(
+        "FAIL" if row["verdict"] == "MISMATCH" else row["verdict"]
+        for row in rows
+    )]
 
 
 def _fuzz(argv) -> int:
@@ -482,7 +456,7 @@ def _fuzz(argv) -> int:
     (``repro.fuzz``) with replay and counterexample shrinking."""
     import argparse
 
-    from repro.campaign import EngineOptions, OutputOptions
+    from repro.campaign import EngineOptions, OutputOptions, executor_for
     from repro.fuzz import (
         DEFAULT_MAX_STEPS,
         ReplayMismatch,
@@ -496,7 +470,6 @@ def _fuzz(argv) -> int:
     )
     from repro.fuzz.campaign import run_campaign
     from repro.harness.tables import render_table
-    from repro.mc.scenarios import E13_SUITE
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fuzz",
@@ -592,11 +565,10 @@ def _fuzz(argv) -> int:
         out_help="JSONL checkpoint: one canonical record per batch; "
         "rerunning with the same file resumes an interrupted campaign",
     )
-    _add_print_spec(parser)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed campaign on the naive baseline's seeded "
-        "violation (for CI; pair with --expect-violation)",
+    _add_spec_flags(
+        parser,
+        "small fixed campaign on the naive baseline's seeded violation "
+        "(for CI; pair with --expect-violation)",
     )
     args = parser.parse_args(argv)
 
@@ -645,45 +617,19 @@ def _fuzz(argv) -> int:
             return 0 if violating else 1
         return 1 if violating else 0
 
-    if args.smoke:
-        overridden = [
-            flag
-            for flag, name in (
-                ("--target", "target"), ("--sampler", "sampler"),
-                ("--schedules", "schedules"), ("--batch", "batch"),
-                ("--seed", "seed"), ("--workers", "workers"),
-            )
-            if getattr(args, name) != parser.get_default(name)
-        ]
-        if overridden:
-            print(
-                "--smoke runs a fixed target with fixed settings and "
-                f"cannot be combined with {', '.join(overridden)}",
-                file=sys.stderr,
-            )
-            return 2
-        args.target = ["naive-crash-audit"]
-        args.schedules, args.batch, args.workers = 64, 16, 1
-        args.sampler, args.seed = "uniform", 0
-    names = args.target or [key for _, key in E13_SUITE]
-    unknown = [name for name in names if name not in target_names()]
-    if unknown:
-        print(
-            f"unknown fuzz target(s): {', '.join(unknown)} "
-            "(see python -m repro fuzz --list)",
-            file=sys.stderr,
-        )
+    if args.smoke and not _apply_smoke(parser, args, {
+        "target": ["naive-crash-audit"], "sampler": "uniform",
+        "schedules": 64, "batch": 16, "seed": 0, "workers": 1,
+    }):
         return 2
-
-    if _maybe_print_spec("fuzz", args):
-        return 0
+    compiled = _compiled_spec("fuzz", args)
+    if isinstance(compiled, int):
+        return compiled
+    spec, _ = compiled
+    # One campaign over every target (one checkpoint, one batch
+    # fan-out, one time budget) with the section's point params.
+    section = spec.sections[0]
     output = OutputOptions.from_args(args)
-    sampler_params = {}
-    if args.sampler == "pct":
-        sampler_params["depth"] = args.pct_depth
-    if args.sampler == "fault":
-        sampler_params["max_rate_per_10k"] = args.fault_max_rate
-    workers = EngineOptions.from_args(args).resolved
 
     def progress(done, total, record):
         if done % 4 == 0 or done == total:
@@ -692,20 +638,15 @@ def _fuzz(argv) -> int:
 
     try:
         report = run_campaign(
-            names,
-            schedules=args.schedules,
-            batch=args.batch,
-            sampler=args.sampler,
-            sampler_params=sampler_params,
-            root_seed=args.seed,
-            max_steps=args.max_steps,
-            shrink=not args.no_shrink,
-            workers=workers,
+            list(section.axes[0].values),
+            workers=EngineOptions.from_args(args).resolved,
             checkpoint=output.out,
             resume=output.resume,
             time_budget=args.time_budget,
-            stop_on_violation=not args.keep_going,
             progress=progress,
+            **executor_for("fuzz").campaign_kwargs(
+                section.seeds[0], section.params
+            ),
         )
     except ValueError as exc:
         # Bad knob values (--schedules 0, --pct-depth 0, ...) are
@@ -713,37 +654,7 @@ def _fuzz(argv) -> int:
         print(f"fuzz: {exc}", file=sys.stderr)
         return 2
 
-    expected_batches = -(-args.schedules // args.batch)  # per target
-    by_target: dict = {}
-    batches_seen: dict = {}
-    for record in report.records:
-        payload = record["payload"]
-        row = by_target.setdefault(payload["target"], {
-            "target": payload["target"],
-            "sampler": payload["sampler"],
-            "schedules": 0,
-            "steps": 0,
-            "violations": 0,
-            "verdict": "PASS",
-        })
-        batches_seen[payload["target"]] = (
-            batches_seen.get(payload["target"], 0) + 1
-        )
-        row["schedules"] += payload["schedules"]
-        row["steps"] += payload["steps"]
-        row["violations"] += payload["violations"]
-        if payload["violations"]:
-            row["verdict"] = "FAIL"
-    rows = list(by_target.values())
-    if report.partial or report.stopped_early:
-        # Only targets whose batches were actually cut short (by the
-        # time budget or by stopping at another target's violation)
-        # are PARTIAL; a target that finished keeps its complete
-        # verdict.
-        for row in rows:
-            incomplete = batches_seen[row["target"]] < expected_batches
-            if row["verdict"] == "PASS" and incomplete:
-                row["verdict"] = "PARTIAL"
+    rows = report.target_rows()
     if rows:
         print(render_table(rows))
         print()
@@ -768,12 +679,8 @@ def _fuzz(argv) -> int:
                 handle.write(dumps_trace(trace_from_payload(shrunk)))
                 handle.write("\n")
             print(f"  counterexample trace: {args.save_trace}")
-    mark = (
-        "FAIL" if report.violations
-        else ("PARTIAL" if report.partial else "PASS")
-    )
     print(
-        f"  [{mark}] {report.schedules} schedules "
+        f"  [{report.verdict}] {report.schedules} schedules "
         f"({report.steps} decisions, {report.incomplete} hit the step "
         f"budget) across {len(report.records)} batches in "
         f"{report.elapsed:.2f}s with {report.workers} worker(s); "
@@ -792,7 +699,8 @@ def _stress(argv) -> int:
     import argparse
 
     from repro.campaign import OutputOptions
-    from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES, run_stress
+    from repro.campaign.executors import EXIT_CODES, executor_for
+    from repro.rt import STRESS_OBJECTS, STRESS_RUNTIMES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro stress",
@@ -895,48 +803,36 @@ def _stress(argv) -> int:
         out_help="append one canonical JSONL record of the run's "
         "metrics and verdicts to FILE",
     )
-    _add_print_spec(parser)
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small fixed run (register, 4 workers, 8 ops/worker, "
-        "validated) for CI; combines with --runtime",
+    _add_spec_flags(
+        parser,
+        "small fixed run (register, 4 workers, 8 ops/worker, validated) "
+        "for CI; combines with --runtime and --faults",
     )
     args = parser.parse_args(argv)
 
-    if args.smoke:
-        args.object, args.threads, args.ops = "register", 4, 8
-        args.duration, args.seed, args.validate = None, 0, True
-        args.readers = args.writers = args.auditors = None
-    if args.ops is None and args.duration is None:
-        args.ops = 25
-    if _maybe_print_spec("stress", args):
-        return 0
+    if args.smoke and not _apply_smoke(parser, args, {
+        "object": "register", "threads": 4, "ops": 8, "duration": None,
+        "seed": 0, "validate": True, "readers": None, "writers": None,
+        "auditors": None,
+    }):
+        return 2
+    compiled = _compiled_spec("stress", args)
+    if isinstance(compiled, int):
+        return compiled
+    (task,) = compiled[1]["stress"]
     output = OutputOptions.from_args(args)
-
+    executor = executor_for("stress")
+    options = {
+        "duration": args.duration,
+        "online": args.online,
+        "event_log": args.event_log,
+        "stream_window": args.stream_window,
+        "record_latency": not args.no_latency,
+    }
+    if args.join_watchdog is not None:
+        options["join_watchdog"] = args.join_watchdog or None
     try:
-        report = run_stress(
-            args.object,
-            threads=args.threads,
-            readers=args.readers,
-            writers=args.writers,
-            auditors=args.auditors,
-            ops=args.ops,
-            duration=args.duration,
-            seed=args.seed,
-            validate=args.validate,
-            runtime=args.runtime,
-            faults=args.faults,
-            fault_rate=args.fault_rate,
-            online=args.online,
-            event_log=args.event_log,
-            stream_window=args.stream_window,
-            record_latency=not args.no_latency,
-            **(
-                {}
-                if args.join_watchdog is None
-                else {"join_watchdog": args.join_watchdog or None}
-            ),
-        )
+        report = executor.run(task.seed, task.kwargs["point"], **options)
     except ValueError as exc:
         print(f"stress: {exc}", file=sys.stderr)
         return 2
@@ -947,15 +843,9 @@ def _stress(argv) -> int:
         with open(output.out, "a", encoding="utf-8") as handle:
             handle.write(encode_record(report.to_payload()) + "\n")
         print(f"  record appended: {output.out}")
-    if not report.ok:
-        return 1
-    from repro.analysis.fastlin import LIN_UNDECIDED
-
-    if report.validated and report.lin_status == LIN_UNDECIDED:
-        # The node budget expired before a verdict: inconclusive, the
-        # same PARTIAL exit every other subcommand uses — not success.
-        return 2
-    return 0
+    # An undecided linearizability verdict (node budget) is PARTIAL:
+    # inconclusive, never success.
+    return EXIT_CODES[executor.verdict(report)]
 
 
 def _serve(argv) -> int:
@@ -1179,6 +1069,7 @@ def _lin(argv) -> int:
         spec_names,
     )
     from repro.campaign import EngineOptions, OutputOptions
+    from repro.campaign.executors import EXIT_CODES, lin_verdict, worst
     from repro.harness.tables import render_table
 
     parser = argparse.ArgumentParser(
@@ -1345,9 +1236,7 @@ def _lin(argv) -> int:
     )
     if output.out:
         print(f"  records: {output.out}")
-    if failed:
-        return 1
-    return 2 if undecided else 0
+    return EXIT_CODES[worst(lin_verdict(v.status) for v in verdicts)]
 
 
 def _campaign_smoke_spec():

@@ -18,13 +18,14 @@ section mid-file, producing byte-identical records to an uninterrupted
 run.
 
 The same spec value is constructible from the Python builder API, from
-a TOML/JSON file (:func:`load_spec`), or synthesized from legacy CLI
-flags (:func:`spec_from_cli` -- the ``--print-spec`` shim on the old
-subcommands).  Execution dispatches through the :class:`Executor`
-protocol (:mod:`repro.campaign.executors`): each executor wraps the
-same entry point its legacy subcommand calls, so per-point verdicts
-match standalone ``repro check`` / ``fuzz`` / ``stress`` invocations
-exactly.  DESIGN.md section 12 carries the full model.
+a TOML/JSON file (:func:`load_spec`), or synthesized from subcommand
+flags (:func:`spec_from_cli`, which ``--print-spec`` prints).
+Execution dispatches through the :class:`Executor` protocol
+(:mod:`repro.campaign.executors`), and ``repro sweep`` / ``check`` /
+``stress`` run their synthesized spec's points through the same
+executors, so per-point verdicts match the standalone invocations
+because they are the same calls.  DESIGN.md section 12 carries the
+full model.
 """
 
 from repro.campaign.compile import compile_section, compile_spec

@@ -3,12 +3,18 @@
 An :class:`Executor` turns one :class:`~repro.campaign.spec.CampaignPoint`
 into a canonical JSON payload carrying a ``verdict`` -- ``"PASS"``,
 ``"FAIL"`` or ``"PARTIAL"`` -- plus deterministic evidence counters.
-This is the dispatch seam the per-subcommand CLI glue used to hand-roll
-six times over: each executor wraps the *same* underlying entry point
-its subcommand calls (``explore`` for ``check``, ``run_campaign`` for
-``fuzz``, ``run_stress`` for ``stress``, the sweep task functions for
-``sweep``, ``lin_check_task`` for ``lin``), so a campaign point's
-verdict matches the equivalent standalone invocation exactly.
+This is the one run-and-judge path: each executor owns the call into
+its subsystem's entry point (``explore`` / ``explore_parallel`` for
+``check``, ``run_campaign`` for ``fuzz``, ``run_stress`` for
+``stress``, the sweep task functions for ``sweep``, ``lin_check_task``
+for ``lin``) and the rule that turns the result into a verdict.
+``repro sweep``, ``check`` and ``stress`` run the points of the spec
+:func:`~repro.campaign.spec.spec_from_cli` synthesizes through these
+same executors, so a campaign point's verdict is the standalone
+invocation's verdict because both are the same call.  Options that are
+not part of a point (worker fan-out, checkpoint paths, a stress run's
+duration or event log) reach the executor as keyword run options whose
+defaults are the campaign's behaviour.
 
 Determinism: payloads must be pure functions of ``(seed, params)`` so
 the engine's byte-identical JSONL contract holds for campaign
@@ -25,11 +31,34 @@ thread-runtime timing under pool contention would be meaningless.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.campaign.spec import SpecError
 
 PASS, FAIL, PARTIAL = "PASS", "FAIL", "PARTIAL"
+
+#: The exit code of each verdict: the 0/1/2 contract every subcommand
+#: and the campaign runner speak.
+EXIT_CODES = {PASS: 0, FAIL: 1, PARTIAL: 2}
+
+
+def worst(verdicts: Iterable[str]) -> str:
+    """Fold verdicts: FAIL over PARTIAL over PASS.  A proven violation
+    outranks an exhausted budget, so partial coverage that already
+    found a bug is a FAIL, not merely inconclusive."""
+    seen = set(verdicts)
+    if FAIL in seen:
+        return FAIL
+    return PARTIAL if PARTIAL in seen else PASS
+
+
+def lin_verdict(status: str) -> str:
+    """The verdict of one linearizability status (ok, fail, undecided)."""
+    from repro.analysis.fastlin import LIN_FAIL, LIN_OK
+
+    if status == LIN_OK:
+        return PASS
+    return FAIL if status == LIN_FAIL else PARTIAL
 
 
 class Executor:
@@ -125,37 +154,63 @@ class CheckExecutor(Executor):
                 "(see python -m repro check --list)"
             )
 
-    def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+    def execute(
+        self,
+        seed: int,
+        params: Dict[str, Any],
+        *,
+        workers: int = 1,
+        frontier_depth: int = 6,
+        checkpoint: Optional[str] = None,
+        resume: bool = True,
+    ) -> Dict[str, Any]:
+        """Explore one scenario.  The keywords are run options: the
+        serial explorer runs exactly when ``workers == 1`` and there is
+        no ``checkpoint``; otherwise subtrees below ``frontier_depth``
+        fan out through ``explore_parallel`` (``workers=0`` = one per
+        CPU) with a resumable JSONL checkpoint."""
         from repro.mc import ExplorationBudgetExceeded, explore
         from repro.mc.scenarios import get_scenario
 
-        factory, check = get_scenario(params["scenario"])()
+        name = params["scenario"]
+        reduce = params.get("reduce", True)
+        budgets = {
+            "max_executions": params.get("max_executions", 300_000),
+            "max_depth": params.get("max_depth", 200),
+            "reduce": reduce,
+            "fingerprints": params.get("fingerprints", reduce),
+        }
         budget_note = None
         try:
-            report = explore(
-                factory, check,
-                max_executions=params.get("max_executions", 300_000),
-                max_depth=params.get("max_depth", 200),
-                reduce=params.get("reduce", True),
-                fingerprints=params.get(
-                    "fingerprints", params.get("reduce", True)
-                ),
-            )
+            if workers == 1 and checkpoint is None:
+                factory, check = get_scenario(name)()
+                report = explore(factory, check, **budgets)
+            else:
+                from repro.mc.parallel import explore_parallel
+
+                report = explore_parallel(
+                    name,
+                    workers=workers or None,
+                    frontier_depth=frontier_depth,
+                    checkpoint=checkpoint,
+                    resume=resume,
+                    **budgets,
+                )
         except ExplorationBudgetExceeded as exc:
             report = exc.report
             budget_note = str(exc)
-        # A proven violation outranks an exhausted budget (the repro
-        # check convention): partial coverage that found a bug is FAIL.
-        verdict = (
-            FAIL if report.violations
-            else (PARTIAL if budget_note else PASS)
-        )
         return {
-            "verdict": verdict,
-            "scenario": params["scenario"],
+            "verdict": worst([
+                FAIL if report.violations else PASS,
+                PARTIAL if budget_note else PASS,
+            ]),
+            "scenario": name,
             "executions": report.executions,
             "distinct_states": report.distinct_states,
             "violations": [str(v) for v in report.violations[:5]],
+            "violation_count": len(report.violations),
+            # Schedule-free, so raw and reduced runs compare equal.
+            "verdicts": sorted(report.verdicts),
             "budget": budget_note,
         }
 
@@ -188,34 +243,39 @@ class FuzzExecutor(Executor):
         if sampler not in sampler_names():
             raise SpecError(f"unknown sampler {sampler!r}")
 
-    def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.fuzz.campaign import run_campaign
+    @staticmethod
+    def campaign_kwargs(seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``run_campaign`` keywords of a point (``repro fuzz``
+        passes the same ones for its synthesized section)."""
         from repro.fuzz.executor import DEFAULT_MAX_STEPS
 
-        report = run_campaign(
-            [params["target"]],
-            schedules=params.get("schedules", 256),
-            batch=params.get("batch", 32),
-            sampler=params.get("sampler", "uniform"),
-            sampler_params=params.get("sampler_params"),
-            root_seed=seed,
-            max_steps=params.get("max_steps", DEFAULT_MAX_STEPS),
-            shrink=params.get("shrink", True),
-            shrink_checks=params.get("shrink_checks", 2000),
-            workers=1,
-            stop_on_violation=params.get("stop_on_violation", True),
-        )
-        verdict = FAIL if report.violations else PASS
         return {
-            "verdict": verdict,
+            "schedules": params.get("schedules", 256),
+            "batch": params.get("batch", 32),
+            "sampler": params.get("sampler", "uniform"),
+            "sampler_params": params.get("sampler_params"),
+            "root_seed": seed,
+            "max_steps": params.get("max_steps", DEFAULT_MAX_STEPS),
+            "shrink": params.get("shrink", True),
+            "shrink_checks": params.get("shrink_checks", 2000),
+            "stop_on_violation": params.get("stop_on_violation", True),
+        }
+
+    def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+        from repro.fuzz.campaign import run_campaign
+
+        report = run_campaign(
+            [params["target"]], workers=1,
+            **self.campaign_kwargs(seed, params),
+        )
+        return {
+            "verdict": worst(row["verdict"] for row in report.target_rows()),
             "target": params["target"],
             "sampler": params.get("sampler", "uniform"),
-            "schedules": report.schedules,
-            "steps": report.steps,
-            "incomplete": report.incomplete,
-            "violations": report.violations,
-            "verdicts": report.verdicts,
-            "first_violation": report.first_violation,
+            **{key: getattr(report, key) for key in (
+                "schedules", "steps", "incomplete", "violations",
+                "verdicts", "first_violation",
+            )},
         }
 
 register_executor(FuzzExecutor())
@@ -237,6 +297,12 @@ class StressExecutor(Executor):
         "auditors", "ops", "faults", "fault_rate", "validate",
         "max_substrate", "snapshot_substrate",
     )
+    #: The deterministic fields of the report a campaign record keeps.
+    _PAYLOAD = (
+        "object", "runtime", "readers", "writers", "auditors",
+        "ops_budget", "validated", "lin_ok", "lin_status", "audit_ok",
+        "faults",
+    )
 
     def validate_point(self, params: Dict[str, Any]) -> None:
         _require(params, "object", self.kind)
@@ -251,8 +317,8 @@ class StressExecutor(Executor):
         ops = params.get("ops", 16)
         if not isinstance(ops, int) or ops < 1:
             raise SpecError(
-                "campaign stress points need a bounded per-worker op "
-                "budget (ops >= 1); duration runs are not deterministic"
+                "a stress point needs a bounded per-worker op budget, "
+                f"ops >= 1 (got {ops!r})"
             )
         faults = params.get("faults")
         if faults:
@@ -263,46 +329,57 @@ class StressExecutor(Executor):
             except ValueError as exc:
                 raise SpecError(str(exc)) from exc
 
-    def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.analysis.fastlin import LIN_UNDECIDED
+    @staticmethod
+    def run(seed: int, params: Dict[str, Any], **options: Any):
+        """The one ``run_stress`` call of a point; returns the full
+        :class:`~repro.rt.stress.StressReport`.
+
+        ``options`` are ``run_stress`` keywords outside the point
+        (``duration``, ``online``, ``event_log``, ``stream_window``,
+        ``record_latency``, ``join_watchdog``); without them the run is
+        a campaign's: no latency samples, and a point without ``ops``
+        runs 16 per worker -- unless a ``duration`` bounds it instead.
+        """
         from repro.rt import run_stress
 
-        faults = params.get("faults") or None
-        report = run_stress(
+        options.setdefault("record_latency", False)
+        unbounded = options.get("duration") is not None
+        return run_stress(
             params["object"],
             threads=params.get("threads", 4),
             readers=params.get("readers"),
             writers=params.get("writers"),
             auditors=params.get("auditors"),
-            ops=params.get("ops", 16),
+            ops=params.get("ops", None if unbounded else 16),
             seed=seed,
-            validate=params.get("validate", True),
+            # None: validate bounded budgets and online runs.
+            validate=params.get("validate"),
             max_substrate=params.get("max_substrate", "atomic"),
             snapshot_substrate=params.get("snapshot_substrate", "afek"),
             runtime=params.get("runtime", "thread"),
-            faults=faults,
+            faults=params.get("faults") or None,
             fault_rate=params.get("fault_rate", 100),
-            record_latency=False,
+            **options,
         )
+
+    @staticmethod
+    def verdict(report) -> str:
+        """FAIL on a disproven oracle, PARTIAL on an undecided
+        linearizability search, else PASS."""
+        from repro.analysis.fastlin import LIN_UNDECIDED
+
         if not report.ok:
-            verdict = FAIL
-        elif report.validated and report.lin_status == LIN_UNDECIDED:
-            verdict = PARTIAL
-        else:
-            verdict = PASS
+            return FAIL
+        if report.validated and report.lin_status == LIN_UNDECIDED:
+            return PARTIAL
+        return PASS
+
+    def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
+        report = self.run(seed, params)
+        payload = report.to_payload()
         return {
-            "verdict": verdict,
-            "object": report.object,
-            "runtime": report.runtime,
-            "readers": report.readers,
-            "writers": report.writers,
-            "auditors": report.auditors,
-            "ops_budget": report.ops_budget,
-            "validated": report.validated,
-            "lin_ok": report.lin_ok,
-            "lin_status": report.lin_status,
-            "audit_ok": report.audit_ok,
-            "faults": report.faults,
+            "verdict": self.verdict(report),
+            **{key: payload[key] for key in self._PAYLOAD},
         }
 
 register_executor(StressExecutor())
@@ -377,17 +454,12 @@ class LinExecutor(Executor):
             raise SpecError(f"unknown lin spec {spec!r}")
 
     def execute(self, seed: int, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.analysis.fastlin import LIN_FAIL, LIN_OK
         from repro.engine.tasks import lin_check_task
 
         kwargs = dict(params)
         kwargs.setdefault("spec", "register")
         payload = dict(lin_check_task(seed, **kwargs))
-        status = payload["status"]
-        payload["verdict"] = (
-            PASS if status == LIN_OK
-            else (FAIL if status == LIN_FAIL else PARTIAL)
-        )
+        payload["verdict"] = lin_verdict(payload["status"])
         return payload
 
 register_executor(LinExecutor())

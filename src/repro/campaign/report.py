@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.campaign.run import VERDICTS, CampaignOutcome, SectionOutcome
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, Section
 
 
 def _section_axes(spec: CampaignSpec, name: str) -> List[str]:
@@ -45,6 +45,23 @@ def axis_slices(outcome: CampaignOutcome) -> List[Dict[str, Any]]:
     return rows
 
 
+def combination_rows(
+    section: Section, outcome: SectionOutcome
+) -> List[Dict[str, Any]]:
+    """One row per crossed combination of ``section``, labelled
+    ``axis=value,...`` in axis order, with its points' numeric payload
+    fields summed (booleans count 0/1) and an ``executions`` count."""
+    from repro.engine.aggregate import aggregate_counts
+
+    axes = [axis.name for axis in section.axes]
+
+    def label(record):
+        point = record["params"]["point"]
+        return ",".join(f"{axis}={point[axis]}" for axis in axes)
+
+    return aggregate_counts(outcome.records, key=label)
+
+
 def section_rows(outcome: CampaignOutcome) -> List[Dict[str, Any]]:
     rows = []
     for section in outcome.sections:
@@ -71,22 +88,11 @@ def render_outcome(outcome: CampaignOutcome) -> str:
         parts.append("")
         parts.append(render_table(slices))
     counts = outcome.counts
-    mark = ("FAIL" if counts["FAIL"]
-            else ("PARTIAL" if counts["PARTIAL"] else "PASS"))
     parts.append("")
     parts.append(
-        f"  [{mark}] campaign {outcome.spec.name!r}: {outcome.points} "
-        f"points across {len(outcome.sections)} section(s) in "
-        f"{outcome.elapsed:.2f}s -- {counts['PASS']} pass, "
+        f"  [{outcome.verdict}] campaign {outcome.spec.name!r}: "
+        f"{outcome.points} points across {len(outcome.sections)} "
+        f"section(s) in {outcome.elapsed:.2f}s -- {counts['PASS']} pass, "
         f"{counts['FAIL']} fail, {counts['PARTIAL']} partial"
     )
     return "\n".join(parts)
-
-
-def summarize_section(section: SectionOutcome) -> str:
-    counts = section.counts
-    return (
-        f"{section.name} [{section.kind}]: {len(section.records)} points "
-        f"({section.executed} run, {section.skipped} resumed), "
-        f"{counts['FAIL']} fail, {counts['PARTIAL']} partial"
-    )

@@ -9,23 +9,32 @@ reuses them without executing anything) and picks the interrupted
 section back up mid-file -- finish the check section, crash during
 fuzz, resume straight into the fuzz section's remaining points.
 
-Sections whose executor is ``serial_only`` (stress) run with one
-worker regardless of the requested fan-out; everything else uses the
-campaign's worker pool.  Exit-code contract, aggregated bottom-up from
-point verdicts: ``0`` all points PASS, ``1`` any point FAIL, ``2`` no
-failures but at least one PARTIAL (a budget expired somewhere) -- the
-same 0/1/2 convention every subcommand honours.
+:func:`run_section` is that per-section step on its own, with the
+checkpoint path given exactly; ``repro sweep`` runs its synthesized
+section through it.  Sections whose executor is ``serial_only``
+(stress) run with one worker regardless of the requested fan-out;
+everything else uses the campaign's worker pool.  Exit-code contract,
+aggregated bottom-up from point verdicts: ``0`` all points PASS,
+``1`` any point FAIL, ``2`` no failures but at least one PARTIAL (a
+budget expired somewhere) -- the same 0/1/2 convention every
+subcommand honours.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.campaign.compile import compile_section
-from repro.campaign.executors import campaign_point_task, executor_for
-from repro.campaign.spec import CampaignSpec, SpecError
+from repro.campaign.executors import (
+    EXIT_CODES,
+    campaign_point_task,
+    executor_for,
+    worst,
+)
+from repro.campaign.spec import CampaignSpec, Section, SpecError
 
 VERDICTS = ("PASS", "FAIL", "PARTIAL")
 
@@ -52,10 +61,7 @@ class SectionOutcome:
 
     @property
     def verdict(self) -> str:
-        counts = self.counts
-        if counts["FAIL"]:
-            return "FAIL"
-        return "PARTIAL" if counts["PARTIAL"] else "PASS"
+        return worst(r["payload"]["verdict"] for r in self.records)
 
 
 @dataclass
@@ -79,17 +85,58 @@ class CampaignOutcome:
         return sum(len(section.records) for section in self.sections)
 
     @property
+    def verdict(self) -> str:
+        return worst(section.verdict for section in self.sections)
+
+    @property
     def exit_code(self) -> int:
         """The CLI contract: 0 clean, 1 violation, 2 PARTIAL."""
-        counts = self.counts
-        if counts["FAIL"]:
-            return 1
-        return 2 if counts["PARTIAL"] else 0
+        return EXIT_CODES[self.verdict]
 
 
 def section_checkpoint(out: Optional[str], section: str) -> Optional[str]:
     """The per-section JSONL path for a campaign ``--out`` base."""
     return f"{out}.{section}.jsonl" if out else None
+
+
+def run_section(
+    section: Section,
+    root_seed: int = 0,
+    *,
+    workers: int = 1,
+    checkpoint: Optional[str] = None,
+    resume: bool = True,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> SectionOutcome:
+    """Compile one section and run its points through the engine,
+    checkpointing to exactly ``checkpoint``.  ``progress`` (if given)
+    is called as ``progress(done, total)`` per completed point."""
+    from repro.engine.engine import run_tasks
+
+    tasks = compile_section(section, root_seed)
+    if executor_for(section.kind).serial_only:
+        workers = 1
+    report = run_tasks(
+        campaign_point_task,
+        tasks,
+        workers=workers,
+        checkpoint=checkpoint,
+        resume=resume,
+        progress=(
+            None if progress is None
+            else lambda done, total, record: progress(done, total)
+        ),
+    )
+    return SectionOutcome(
+        name=section.name,
+        kind=section.kind,
+        records=report.records,
+        executed=report.executed,
+        skipped=report.skipped,
+        workers=report.workers,
+        elapsed=report.elapsed,
+        checkpoint=report.checkpoint,
+    )
 
 
 def run_spec(
@@ -108,8 +155,6 @@ def run_spec(
     sections, in spec order.  ``progress`` (if given) is called as
     ``progress(section_name, done, total)`` per completed point.
     """
-    from repro.engine.engine import run_tasks
-
     if only:
         known = {section.name for section in spec.sections}
         missing = [name for name in only if name not in known]
@@ -126,33 +171,16 @@ def run_spec(
     start = time.perf_counter()
     outcome = CampaignOutcome(spec=spec)
     for section in sections:
-        tasks = compile_section(section, spec.root_seed)
-        executor = executor_for(section.kind)
-        section_workers = 1 if executor.serial_only else (
-            requested or _cpu_count()
-        )
-
-        def section_progress(done, total, record, _name=section.name):
-            if progress is not None:
-                progress(_name, done, total)
-
-        report = run_tasks(
-            campaign_point_task,
-            tasks,
-            workers=section_workers,
+        outcome.sections.append(run_section(
+            section,
+            spec.root_seed,
+            workers=requested or _cpu_count(),
             checkpoint=section_checkpoint(out, section.name),
             resume=resume,
-            progress=section_progress,
-        )
-        outcome.sections.append(SectionOutcome(
-            name=section.name,
-            kind=section.kind,
-            records=report.records,
-            executed=report.executed,
-            skipped=report.skipped,
-            workers=report.workers,
-            elapsed=report.elapsed,
-            checkpoint=report.checkpoint,
+            progress=(
+                None if progress is None
+                else functools.partial(progress, section.name)
+            ),
         ))
     outcome.elapsed = time.perf_counter() - start
     return outcome

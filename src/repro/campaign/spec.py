@@ -16,9 +16,8 @@ The same spec value is constructible three ways:
   the object it extended, so specs chain);
 - **file** -- :func:`load_spec` reads TOML (Python 3.11+) or JSON;
 - **CLI synthesis** -- :func:`spec_from_cli` maps a parsed argparse
-  namespace of an existing subcommand (``sweep``/``check``/``fuzz``/
-  ``stress``) onto the equivalent one-section spec, which is what the
-  per-subcommand ``--print-spec`` shims emit.
+  namespace of a subcommand (``sweep``/``check``/``fuzz``/``stress``)
+  onto the spec that invocation runs; ``--print-spec`` prints it.
 
 Seed semantics: ``seeds`` may be an explicit list of integers (used
 verbatim for every crossed combination -- how ``--seed N`` flags map
@@ -373,12 +372,18 @@ def dumps_spec(spec: CampaignSpec) -> str:
 # -- CLI synthesis ---------------------------------------------------------
 
 def spec_from_cli(kind: str, args: Any) -> CampaignSpec:
-    """The campaign spec equivalent of one legacy CLI invocation.
+    """The campaign spec one CLI invocation runs.
 
     ``args`` is the parsed argparse namespace of the ``sweep``,
-    ``check``, ``fuzz`` or ``stress`` subcommand; the result is a
-    one-section spec whose points reproduce that invocation's verdicts
-    (the ``--print-spec`` deprecation shim).
+    ``check``, ``fuzz`` or ``stress`` subcommand.  This is the only
+    place those flags become work: ``sweep``, ``check`` and ``stress``
+    run exactly this spec's points through their executors, ``fuzz``
+    feeds this section's params to its batch engine, and
+    ``--print-spec`` prints the same value.  Flags outside the spec
+    (workers, output paths, a stress run's event log, ...) are run
+    options; :func:`cli_only_flags` names those that change the work.
+    ``check --compare`` adds a ``baseline`` section (raw enumeration)
+    that the CLI pairs with the ``check`` section by scenario.
     """
     spec = CampaignSpec(name=f"cli-{kind}")
     if kind == "sweep":
@@ -395,14 +400,21 @@ def spec_from_cli(kind: str, args: Any) -> CampaignSpec:
         from repro.mc.scenarios import E13_SUITE
 
         names = args.scenario or [key for _, key in E13_SUITE]
-        sec = spec.section(
+        spec.section(
             "check", "check",
             max_executions=args.max_executions,
             max_depth=args.max_depth,
             reduce=not args.baseline,
             fingerprints=not (args.baseline or args.no_fingerprints),
-        )
-        sec.axis("scenario", *names)
+        ).axis("scenario", *names)
+        if args.compare:
+            spec.section(
+                "baseline", "check",
+                max_executions=args.max_executions,
+                max_depth=args.max_depth,
+                reduce=False,
+                fingerprints=False,
+            ).axis("scenario", *names)
     elif kind == "fuzz":
         from repro.fuzz import DEFAULT_MAX_STEPS
         from repro.mc.scenarios import E13_SUITE
@@ -424,14 +436,19 @@ def spec_from_cli(kind: str, args: Any) -> CampaignSpec:
             sec.param(max_steps=args.max_steps)
         if sampler_params:
             sec.param(sampler_params=sampler_params)
+        if args.keep_going:
+            sec.param(stop_on_violation=False)
         sec.axis("target", *names)
     elif kind == "stress":
         sec = spec.section(
             "stress", "stress", seeds=[args.seed],
             object=args.object,
             runtime=args.runtime,
-            ops=args.ops if args.ops is not None else 25,
         )
+        if args.ops is not None:
+            sec.param(ops=args.ops)
+        elif args.duration is None:
+            sec.param(ops=25)
         if (args.readers is not None or args.writers is not None
                 or args.auditors is not None):
             sec.param(
@@ -443,6 +460,26 @@ def spec_from_cli(kind: str, args: Any) -> CampaignSpec:
             sec.param(threads=args.threads)
         if args.faults:
             sec.param(faults=args.faults, fault_rate=args.fault_rate)
+        if args.validate is not None:
+            sec.param(validate=args.validate)
     else:
         raise SpecError(f"no CLI synthesis for kind {kind!r}")
     return spec
+
+
+def cli_only_flags(kind: str, args: Any) -> List[str]:
+    """Flags of an invocation whose effect on the work no spec can
+    carry, so a printed spec would run something else: a stress run
+    bounded only by wall-clock time, a fuzz campaign's time budget,
+    and fuzz's stop at the first violation of *any* target (a campaign
+    point stops only its own target)."""
+    flags = []
+    if kind == "stress" and args.duration is not None and args.ops is None:
+        flags.append("--duration (without --ops)")
+    if kind == "fuzz":
+        if args.time_budget is not None:
+            flags.append("--time-budget")
+        several = args.target is None or len(args.target) > 1
+        if several and not args.keep_going:
+            flags.append("several targets without --keep-going")
+    return flags

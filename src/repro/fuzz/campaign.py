@@ -139,6 +139,7 @@ class CampaignReport:
 
     records: List[Dict[str, Any]] = field(default_factory=list)
     tasks_total: int = 0
+    batches: int = 0  # per target
     schedules: int = 0
     steps: int = 0
     incomplete: int = 0
@@ -154,15 +155,48 @@ class CampaignReport:
     checkpoint: Optional[str] = None
 
     @property
-    def ok(self) -> bool:
-        return self.violations == 0
+    def verdict(self) -> str:
+        """FAIL on any violation, else PARTIAL if the time budget
+        expired, else PASS."""
+        if self.violations:
+            return "FAIL"
+        return "PARTIAL" if self.partial else "PASS"
 
     @property
     def exit_code(self) -> int:
         """The CLI contract: 0 clean, 1 violation, 2 budget PARTIAL."""
-        if self.violations:
-            return 1
-        return 2 if self.partial else 0
+        return {"PASS": 0, "FAIL": 1, "PARTIAL": 2}[self.verdict]
+
+    def target_rows(self) -> List[Dict[str, Any]]:
+        """One row per target with records: its batches' counters
+        summed and its verdict -- FAIL on any violation, PARTIAL when
+        the time budget or another target's violation cut its batches
+        short, else PASS (a target that finished keeps its complete
+        verdict)."""
+        rows: Dict[str, Dict[str, Any]] = {}
+        seen: Dict[str, int] = {}
+        for record in self.records:
+            payload = record["payload"]
+            name = payload["target"]
+            row = rows.setdefault(name, {
+                "target": name,
+                "sampler": payload["sampler"],
+                "schedules": 0,
+                "steps": 0,
+                "violations": 0,
+            })
+            seen[name] = seen.get(name, 0) + 1
+            for key in ("schedules", "steps", "violations"):
+                row[key] += payload[key]
+        cut = self.partial or self.stopped_early
+        for name, row in rows.items():
+            if row["violations"]:
+                row["verdict"] = "FAIL"
+            elif cut and seen[name] < self.batches:
+                row["verdict"] = "PARTIAL"
+            else:
+                row["verdict"] = "PASS"
+        return list(rows.values())
 
 
 def run_campaign(
@@ -230,7 +264,7 @@ def run_campaign(
 
     start = time.perf_counter()
     report = CampaignReport(
-        tasks_total=len(tasks), workers=max(1, workers),
+        tasks_total=len(tasks), batches=batches, workers=max(1, workers),
         checkpoint=None if own_checkpoint else checkpoint,
     )
     try:
